@@ -22,7 +22,7 @@ from itertools import combinations
 from random import Random
 from typing import Iterator, Mapping
 
-from .extalg import _merge_sign
+from .extalg import _merge_sign, _TermMap
 from .fplin import Prime, as_prime
 
 __all__ = [
@@ -120,10 +120,10 @@ def _killed(amb: Generators, mask: int) -> bool:
     return bool(mask & ~singles) or (mask & singles).bit_count() >= 2
 
 
-class BigradedElement:
+class BigradedElement(_TermMap):
     """A sum of terms (exterior mask, polynomial exponent vector) -> residue."""
 
-    __slots__ = ("ambient", "_terms")
+    __slots__ = ()
 
     def __init__(self, ambient: Generators, terms: Mapping[tuple[int, tuple[int, ...]], int]):
         self.ambient = ambient
@@ -139,6 +139,10 @@ class BigradedElement:
                 clean[(mask, exps)] = c
         self._terms = clean
 
+    @staticmethod
+    def _key_degree(key: tuple[int, tuple[int, ...]]) -> int:
+        return _term_degree(*key)
+
     def terms(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:
         def key(t):
             mask, exps = t
@@ -147,59 +151,11 @@ class BigradedElement:
         for t in sorted(self._terms, key=key):
             yield t, self._terms[t]
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int | None:
-        degs = {_term_degree(m, e) for m, e in self._terms}
-        return degs.pop() if len(degs) == 1 else None
-
-    def _require_same(self, other: "BigradedElement") -> None:
-        if self.ambient != other.ambient:
-            raise ValueError(f"mixed generator sets {self.ambient} and {other.ambient}")
-
-    def __add__(self, other: "BigradedElement") -> "BigradedElement":
-        if not isinstance(other, BigradedElement):
-            return NotImplemented
-        self._require_same(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return BigradedElement(self.ambient, out)
-
-    def __sub__(self, other: "BigradedElement") -> "BigradedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "BigradedElement":
-        return BigradedElement(self.ambient, {k: -c for k, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return BigradedElement(self.ambient, {k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, BigradedElement):
-            return NotImplemented
-        self._require_same(other)
-        out: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (m1, e1), c1 in self._terms.items():
-            for (m2, e2), c2 in other._terms.items():
-                if m1 & m2:
-                    continue
-                k = (m1 | m2, tuple(a + b for a, b in zip(e1, e2)))
-                out[k] = out.get(k, 0) + c1 * c2 * _merge_sign(m1, m2)
-        return BigradedElement(self.ambient, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigradedElement):
-            return NotImplemented
-        return self.ambient == other.ambient and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self._terms.items())))
+        if isinstance(other, BigradedElement):
+            self._require_same(other)
+            return BigradedElement(self.ambient, _mul_term_dicts(self._terms, other._terms))
+        return super().__mul__(other)
 
     def __str__(self) -> str:
         return format_bigraded(self)
@@ -366,6 +322,9 @@ def verify_differential(
     p = as_prime(p)
     if p <= 3:
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
+    for name, value in (("max_degree", max_degree), ("leibniz_pairs", leibniz_pairs)):
+        if value < 0:
+            raise ValueError(f"{name} = {value} must be nonnegative")
     amb = Generators(n, p)
     monos = _monomials_up_to(amb, max_degree)
     bad_square = 0

@@ -181,6 +181,30 @@ def _load_koszul_input(params: dict) -> tuple[int, Prime, object]:
     return w, p, quads
 
 
+def _series_report(q: series.PoincarePolynomial, w: int, r: int, truncation: int | None) -> dict:
+    """Expansion of q(t) / (1 - t^2)^(w+r) and the numerator checks; the
+    truncation degree defaults to 2(w + r)."""
+    truncate = 2 * (w + r) if truncation is None else truncation
+    if truncate < 0:
+        raise CliError(EXIT_BAD_INPUT, "truncation degree must be nonnegative")
+    s = series.PoincareSeries(q, w + r)
+    chk = series.checks(q, w, r)
+    return {
+        "numerator": list(q.coefficients),
+        "numerator_text": str(q),
+        "series_text": str(s),
+        "truncation_degree": truncate,
+        "expansion": series.expand(s, truncate),
+        "checks": {
+            "palindrome": chk.palindrome,
+            "euler_zero": chk.euler_zero,
+            "degree_match": chk.degree_match,
+            "ok": chk.ok(w),
+        },
+        "recompose_ok": series.verify_expansion(s, truncate),
+    }
+
+
 def _complex_report(
     cx: koszul.KoszulComplex,
     caught: list[str],
@@ -191,11 +215,8 @@ def _complex_report(
     workers: int | None,
 ) -> dict:
     table = koszul.betti(cx, with_representatives=with_representatives, workers=workers)
-    q = series.from_betti(table)
-    s = series.PoincareSeries(q, cx.top_degree)
-    truncate = 2 * cx.top_degree if truncation is None else truncation
-    expansion = series.expand(s, truncate)
-    chk = series.checks(q, cx.w, cx.r)
+    poincare = _series_report(series.from_betti(table), cx.w, cx.r, truncation)
+    poincare["denominator_exponent"] = cx.top_degree
 
     warnings_out = list(caught)
     if not cx.hypothesis_met:
@@ -215,21 +236,7 @@ def _complex_report(
             "quadratics_independent": cx.quadratics_independent,
         },
         "betti": list(table.dims),
-        "poincare": {
-            "numerator": list(q.coefficients),
-            "numerator_text": str(q),
-            "denominator_exponent": s.denominator_exponent,
-            "series_text": str(s),
-            "truncation_degree": truncate,
-            "expansion": expansion,
-            "checks": {
-                "palindrome": chk.palindrome,
-                "euler_zero": chk.euler_zero,
-                "degree_match": chk.degree_match,
-                "ok": chk.ok(cx.w),
-            },
-            "recompose_ok": series.verify_expansion(s, truncate),
-        },
+        "poincare": poincare,
         "warnings": warnings_out,
     }
     if with_representatives:
@@ -248,6 +255,8 @@ def _complex_report(
 
 def run_koszul(spec: JobSpec) -> tuple[dict, int]:
     params = spec.parameters
+    if (params.get("max_reps") or 0) < 0:
+        raise CliError(EXIT_BAD_INPUT, "--max-reps must be nonnegative")
     w, p, payload = _load_koszul_input(params)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -338,6 +347,8 @@ def run_group(spec: JobSpec) -> tuple[dict, int]:
         )
     except pgroups.BudgetExceeded as exc:
         raise CliError(EXIT_BUDGET, f"{exc} (retry with --mode sampled)") from exc
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     report = {
         "command": "group",
         "n": n,
@@ -394,8 +405,6 @@ def run_bockstein(spec: JobSpec) -> tuple[dict, int]:
         result = bocksteindga.verify_differential(
             n, p, max_degree, leibniz_pairs=pairs, seed=spec.seed
         )
-    except bocksteindga.PrimeTooSmall as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     report = {
@@ -425,28 +434,7 @@ def run_series(spec: JobSpec) -> tuple[dict, int]:
         q = series.PoincarePolynomial(tuple(params["numerator"]))
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-    s = series.PoincareSeries(q, w + r)
-    truncate = 2 * (w + r) if spec.truncation is None else spec.truncation
-    if truncate < 0:
-        raise CliError(EXIT_BAD_INPUT, "truncation degree must be nonnegative")
-    chk = series.checks(q, w, r)
-    report = {
-        "command": "series",
-        "w": w,
-        "r": r,
-        "numerator": list(q.coefficients),
-        "numerator_text": str(q),
-        "series_text": str(s),
-        "truncation_degree": truncate,
-        "expansion": series.expand(s, truncate),
-        "checks": {
-            "palindrome": chk.palindrome,
-            "euler_zero": chk.euler_zero,
-            "degree_match": chk.degree_match,
-            "ok": chk.ok(w),
-        },
-        "recompose_ok": series.verify_expansion(s, truncate),
-    }
+    report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, spec.truncation)}
     return report, EXIT_OK
 
 
@@ -511,6 +499,21 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _render_series(block: dict, lines: list[str]) -> None:
+    lines.append(f"numerator q(t) = {block['numerator_text']}")
+    lines.append(f"series p(t) = {block['series_text']}")
+    lines.append(
+        f"expansion through degree {block['truncation_degree']}: "
+        + " ".join(str(c) for c in block["expansion"])
+    )
+    chk = block["checks"]
+    lines.append(
+        "checks: palindrome {0}   q(-1)=0 {1}   degree=w+r {2}   recompose {3}".format(
+            _yn(chk["palindrome"]), _yn(chk["euler_zero"]), _yn(chk["degree_match"]), _yn(block["recompose_ok"])
+        )
+    )
+
+
 def _render_complex_body(report: dict, lines: list[str]) -> None:
     hyp = report["hypothesis"]
     lines.append(
@@ -535,22 +538,7 @@ def _render_complex_body(report: dict, lines: list[str]) -> None:
                 lines.append(f"  [{name}]")
         if report.get("representatives_truncated"):
             lines.append("(representative lists truncated; use --full for all)")
-    poi = report["poincare"]
-    lines.append(f"numerator q(t) = {poi['numerator_text']}")
-    lines.append(f"series p(t) = {poi['series_text']}")
-    lines.append(
-        f"expansion through degree {poi['truncation_degree']}: "
-        + " ".join(str(c) for c in poi["expansion"])
-    )
-    chk = poi["checks"]
-    lines.append(
-        "checks: palindrome {0}   q(-1)=0 {1}   degree=w+r {2}   recompose {3}".format(
-            _yn(chk["palindrome"]),
-            _yn(chk["euler_zero"]),
-            _yn(chk["degree_match"]),
-            _yn(poi["recompose_ok"]),
-        )
-    )
+    _render_series(report["poincare"], lines)
     for note in report["warnings"]:
         lines.append(f"warning: {note}")
 
@@ -609,18 +597,7 @@ def _render_text(report: dict) -> str:
             f"{sweep['leibniz_violations']} violations"
         )
     elif cmd == "series":
-        lines.append(f"numerator q(t) = {report['numerator_text']}")
-        lines.append(f"series p(t) = {report['series_text']}")
-        lines.append(
-            f"expansion through degree {report['truncation_degree']}: "
-            + " ".join(str(c) for c in report["expansion"])
-        )
-        chk = report["checks"]
-        lines.append(
-            "checks: palindrome {0}   q(-1)=0 {1}   degree=w+r {2}   recompose {3}".format(
-                _yn(chk["palindrome"]), _yn(chk["euler_zero"]), _yn(chk["degree_match"]), _yn(report["recompose_ok"])
-            )
-        )
+        _render_series(report, lines)
     elif cmd == "crosscheck":
         lines.append(f"crosscheck: n = 1..{report['n_max']}, primes {report['primes']}")
         lines.append("   n       p   agree   within guarantee   betti")
@@ -652,8 +629,16 @@ def _int_list(text: str, what: str) -> list[int]:
         raise CliError(EXIT_BAD_INPUT, f"cannot parse {what} {text!r}: expected comma-separated integers") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input (exit 3); exit 2 means "not contained"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frattini",
         description="Homology, series, oracle, group, and Bockstein computations for"
         " central extensions with elementary abelian quotient.",

@@ -144,14 +144,82 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if sign else 1
 
 
-class ExtElement:
+class _TermMap:
+    """Sparse map from bitmask keys to nonzero residues mod p: the arithmetic
+    shared by ``ExtElement`` and ``bocksteindga.BigradedElement``.
+
+    A direct subclass is a public element type.  Its constructor reduces and
+    validates the terms; it supplies ``_key_degree`` and the product of two
+    elements.  Operands must be instances of that public type, and results are
+    built as it, so arithmetic on a ``QuadraticForm`` returns an ``ExtElement``.
+    """
+
+    __slots__ = ("ambient", "_terms")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if _TermMap in cls.__bases__:
+            cls._element_type = cls
+
+    def _new(self, terms):
+        return self._element_type(self.ambient, terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def degree(self) -> int | None:
+        """Common degree of all terms, or None if mixed or zero."""
+        degs = {self._key_degree(k) for k in self._terms}
+        return degs.pop() if len(degs) == 1 else None
+
+    def _require_same(self, other) -> None:
+        if self.ambient != other.ambient:
+            raise AmbientMismatch(f"{self.ambient} != {other.ambient}")
+
+    def __add__(self, other):
+        if not isinstance(other, self._element_type):
+            return NotImplemented
+        self._require_same(other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._new(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, self._element_type):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._new({k: c * other for k, c in self._terms.items()})
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, self._element_type):
+            return NotImplemented
+        return self.ambient == other.ambient and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((self.ambient, frozenset(self._terms.items())))
+
+
+class ExtElement(_TermMap):
     """A sum of monomials with coefficients in [1, p-1]; zero coefficients dropped.
 
     Immutable by convention: arithmetic returns new elements.  Terms are keyed
     internally by (e_bits, x_bits).
     """
 
-    __slots__ = ("ambient", "_terms")
+    __slots__ = ()
 
     def __init__(self, ambient: Ambient, terms: Mapping[tuple[int, int], int]):
         self.ambient = ambient
@@ -169,7 +237,9 @@ class ExtElement:
                 clean[(eb, xb)] = c
         self._terms = clean
 
-    # -- inspection ---------------------------------------------------------
+    @staticmethod
+    def _key_degree(key: tuple[int, int]) -> int:
+        return key[0].bit_count() + key[1].bit_count()
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in the canonical order (degree, x-mask, e-mask)."""
@@ -179,62 +249,16 @@ class ExtElement:
     def coefficient(self, monomial: Monomial) -> int:
         return self._terms.get((monomial.e_bits, monomial.x_bits), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_homogeneous(self, d: int | None = None) -> bool:
-        degs = {(eb.bit_count() + xb.bit_count()) for eb, xb in self._terms}
+        degs = {self._key_degree(k) for k in self._terms}
         if d is None:
             return len(degs) <= 1
         return degs <= {d}
 
-    def degree(self) -> int | None:
-        """Common degree of all terms, or None if mixed or zero."""
-        degs = {(eb.bit_count() + xb.bit_count()) for eb, xb in self._terms}
-        return degs.pop() if len(degs) == 1 else None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _require_same(self, other: "ExtElement") -> None:
-        if self.ambient != other.ambient:
-            raise AmbientMismatch(f"{self.ambient} != {other.ambient}")
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        self._require_same(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return ExtElement(self.ambient, out)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(self.ambient, {k: -c for k, c in self._terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, ExtElement):
             return wedge(self, other)
-        if isinstance(other, int):
-            return ExtElement(self.ambient, {k: c * other for k, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return self.ambient == other.ambient and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self._terms.items())))
+        return super().__mul__(other)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -250,8 +274,7 @@ def _term_key(key: tuple[int, int]) -> tuple[int, int, int]:
 
 def wedge(a: ExtElement, b: ExtElement) -> ExtElement:
     """Exterior product; raises AmbientMismatch across different ambients."""
-    if a.ambient != b.ambient:
-        raise AmbientMismatch(f"{a.ambient} != {b.ambient}")
+    a._require_same(b)
     w = a.ambient.w
     out: dict[tuple[int, int], int] = {}
     for (ea, xa), ca in a._terms.items():

@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import fplin
-from .extalg import Ambient, AmbientMismatch, ExtElement, Monomial, QuadraticForm, basis, _basis_bits, _merge_sign
+from .extalg import Ambient, AmbientMismatch, ExtElement, QuadraticForm, _basis_bits, _merge_sign
 from .fplin import FpMatrix, Prime, as_prime
 
 __all__ = [
@@ -143,8 +143,7 @@ class KoszulComplex:
             raise AmbientMismatch(
                 f"quadratic over (w={q.ambient.w}, p={int(q.ambient.p)}) does not match (w={self.w}, p={int(self.p)})"
             )
-        terms = {(mono.e_bits, mono.x_bits): c for mono, c in q.terms()}
-        return QuadraticForm(self.ambient, terms)
+        return QuadraticForm(self.ambient, q._terms)
 
     def _independent(self) -> bool:
         if self.r == 0:
@@ -153,8 +152,8 @@ class KoszulComplex:
         col = {eb: i for i, (eb, _) in enumerate(pairs)}
         m = np.zeros((self.r, len(pairs)), dtype=np.int64)
         for i, q in enumerate(self.quadratics):
-            for mono, c in q.terms():
-                m[i, col[mono.e_bits]] = c
+            for (eb, _), c in q._terms.items():
+                m[i, col[eb]] = c
         return fplin.rank(FpMatrix(m, self.p)) == self.r
 
     @property
@@ -185,8 +184,8 @@ def canonicalize(k: KInvariantSubspace, *, force: bool = False) -> KoszulComplex
     m = np.zeros((v, w + len(pairs)), dtype=np.int64)
     for i, (bvec, quad) in enumerate(k.basis):
         m[i, :w] = bvec
-        for mono, c in quad.terms():
-            m[i, col[mono.e_bits]] = c
+        for (eb, _), c in quad._terms.items():
+            m[i, col[eb]] = c
     red, piv = fplin.rref(FpMatrix(m, p))
     if len(piv) < v:
         raise DegenerateSubspace(f"basis has rank {len(piv)} < {v}")
@@ -218,8 +217,7 @@ def _diff_term(c: KoszulComplex, e_bits: int, x_bits: int) -> dict[tuple[int, in
         lead = -1 if (e_deg + pos - 1) & 1 else 1
         rem_x = x_bits ^ low
         comb_right = comb_right_base | (rem_x << w)
-        for mono, qc in c.quadratics[t - 1].terms():
-            qe = mono.e_bits
+        for (qe, _), qc in c.quadratics[t - 1]._terms.items():
             if qe & e_bits:
                 continue
             s = _merge_sign(qe, comb_right)
@@ -235,8 +233,8 @@ def differential(c: KoszulComplex, elem: ExtElement) -> ExtElement:
     if elem.ambient != c.ambient:
         raise AmbientMismatch(f"{elem.ambient} != {c.ambient}")
     out: dict[tuple[int, int], int] = {}
-    for mono, coeff in elem.terms():
-        for k, v in _diff_term(c, mono.e_bits, mono.x_bits).items():
+    for (eb, xb), coeff in elem._terms.items():
+        for k, v in _diff_term(c, eb, xb).items():
             out[k] = out.get(k, 0) + coeff * v
     return ExtElement(c.ambient, out)
 
@@ -323,14 +321,14 @@ class BettiTable:
         keys = _basis_bits(c.w, c.r, d)
         index = {k: i for i, k in enumerate(keys)}
         vec = np.zeros(len(keys), dtype=np.int64)
-        for mono, coeff in elem.terms():
-            vec[index[(mono.e_bits, mono.x_bits)]] = coeff
+        for key, coeff in elem._terms.items():
+            vec[index[key]] = coeff
 
         reps = self.representatives[d]
         rmat = np.zeros((len(keys), len(reps)), dtype=np.int64)
         for j, r in enumerate(reps):
-            for mono, coeff in r.terms():
-                rmat[index[(mono.e_bits, mono.x_bits)], j] = coeff
+            for key, coeff in r._terms.items():
+                rmat[index[key], j] = coeff
         bmat = self._matrices[d - 1].entries if d > 0 else np.zeros((len(keys), 0), dtype=np.int64)
         sol = fplin.solve(FpMatrix(np.concatenate([rmat, bmat], axis=1), c.p), vec)
         if sol is None:

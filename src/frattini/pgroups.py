@@ -348,6 +348,8 @@ class PGroup:
         """
         if mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"unknown mode {mode!r}")
+        if triples < 1:
+            raise ValueError(f"triples = {triples}: at least one triple is needed")
         if mode == "exhaustive" and self.order > budget:
             raise BudgetExceeded(
                 f"order {self.order} exceeds the exhaustive budget {budget}; use sampled mode"

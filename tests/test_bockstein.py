@@ -9,6 +9,7 @@ from frattini.bocksteindga import (
     restrict_to_unp,
     verify_differential,
 )
+from frattini.extalg import AmbientMismatch
 
 G = Generators(3, 5)
 
@@ -150,3 +151,11 @@ def test_mixed_generator_sets_rejected():
         G.x(1) + other.x(1)
     with pytest.raises(ValueError):
         G.x(1) * other.x(1)
+
+
+def test_mixed_generator_sets_raise_ambient_mismatch():
+    other = Generators(2, 5)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(AmbientMismatch):
+            op(G.x(1), other.x(1))
+    assert G.x(1) != other.x(1)

@@ -372,3 +372,44 @@ def test_json_output_is_deterministic(argv):
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     json.loads(first.stdout.decode())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        HEISENBERG + ["--truncate", "-3"],
+        ["unp", "-n", "2", "--truncate", "-1"],
+        ["series", "--numerator", "1,2,2,1", "-w", "2", "-r", "1", "--truncate", "-1"],
+        HEISENBERG + ["--max-reps", "-1"],
+        ["bockstein", "-n", "2", "-p", "5", "--max-degree", "-1"],
+        ["bockstein", "-n", "2", "-p", "5", "--pairs", "-3"],
+        ["group", "-n", "1", "-p", "3", "--mode", "sampled", "--triples", "0"],
+    ],
+)
+def test_out_of_range_counts_exit_3(argv):
+    code, out, err = invoke(argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["unp"], ["unp", "-n", "2", "--bogus"], ["nosuchcommand"], ["bockstein", "-n", "x", "-p", "5"]],
+)
+def test_usage_errors_exit_3_not_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["koszul", "--help"]])
+def test_help_exits_0(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == EXIT_OK
+    assert "usage:" in out.getvalue()

@@ -182,3 +182,12 @@ def test_quadratic_form():
         QuadraticForm(AMB, {(0b11, 0b1): 1})
     assert QuadraticForm.from_element(AMB.e(1) * AMB.e(2)) == q
     assert QuadraticForm.from_element(AMB.zero()).is_zero()
+
+
+def test_quadratic_form_arithmetic_returns_plain_element():
+    amb = Ambient(3, 0, 5)
+    q = QuadraticForm.from_element(parse("e1^e2 + 2 e2^e3", amb))
+    for result in (q + q, q - q, -q, 3 * q, q * 2, q * parse("e1", amb)):
+        assert type(result) is ExtElement
+    assert q == parse("e1^e2 + 2 e2^e3", amb)
+    assert hash(q) == hash(parse("e1^e2 + 2 e2^e3", amb))

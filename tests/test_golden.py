@@ -1,0 +1,93 @@
+"""Frozen golden outputs: exact stdout bytes and exit codes of fixed CLI runs,
+plus the text of every cup product of degree-1 classes of one small complex.
+
+The files under ``tests/golden/`` were written once from the code before the
+shared term-map refactor and are never regenerated; a mismatch means an output
+changed.  ``python tests/test_golden.py`` writes only files that are missing.
+
+Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
+p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
+F_7 drawn with ``random.Random(7)``.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from frattini import Ambient, KoszulComplex, betti, cup, parse
+from frattini.bocksteindga import Generators, bockstein, restrict_to_unp
+from frattini.cli import main
+from frattini.extalg import QuadraticForm
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+CLI_CASES = {
+    "koszul_inline_text": ["koszul", "-w", "2", "-p", "5", "-q", "e1^e2"],
+    "koszul_inline_json": ["koszul", "-w", "2", "-p", "5", "-q", "e1^e2", "--format", "json"],
+    "koszul_k_basis_full_json": ["koszul", "{inputs}/k_basis_w3_p5.json", "--full", "--format", "json"],
+    "koszul_generic_full_json": ["koszul", "{inputs}/generic_w4_r3_p7.json", "--full", "--format", "json"],
+    "unp_n3_json": ["unp", "-n", "3", "--format", "json"],
+    "unp_n4_p5_json": ["unp", "-n", "4", "-p", "5", "--format", "json"],
+    "bockstein_text": ["bockstein", "-n", "3", "-p", "5", "--max-degree", "5", "--pairs", "20"],
+    "bockstein_json": ["bockstein", "-n", "3", "-p", "5", "--max-degree", "5", "--pairs", "20", "--format", "json"],
+    "series_text": ["series", "--numerator", "1,2,2,1", "-w", "2", "-r", "1"],
+    "series_json": ["series", "--numerator", "1,2,2,1", "-w", "2", "-r", "1", "--format", "json"],
+    "crosscheck_json": ["crosscheck", "--n-max", "3", "--primes", "7,11", "--format", "json"],
+    "group_json": ["group", "-n", "1", "-p", "3", "--format", "json"],
+}
+
+
+def _run_cli(argv) -> bytes:
+    """Exit code line followed by the exact stdout of one run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([arg.replace("{inputs}", str(INPUTS)) for arg in argv])
+    return f"exit {code}\n".encode() + out.getvalue().encode("utf-8")
+
+
+def _cup_products() -> bytes:
+    amb = Ambient(4, 0, 7)
+    quads = [parse(text, amb) for text in ("e1^e2 + 2 e3^e4", "e1^e3 + e2^e4", "3 e1^e4")]
+    table = betti(KoszulComplex(4, 7, quads))
+    ones = table.classes(1)
+    lines = [f"{a} * {b} = {cup(a, b)}" for a in ones for b in ones]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _element_texts() -> bytes:
+    """str and repr of both element classes, including a quadratic form."""
+    amb = Ambient(3, 2, 5)
+    gens = Generators(2, 7)
+    elems = [
+        parse("3 e1^e2 - e3 + 2 e1^x2 + 4", amb),
+        parse("e1^e2 + 4 e2^e3", Ambient(3, 0, 5)),
+        QuadraticForm.from_element(parse("2 e1^e3 + e1^e2", Ambient(3, 0, 5))) * 3,
+        bockstein(gens.zeta_pair(1, 2) * gens.zeta(1) * gens.x_pair(1, 2)),
+        restrict_to_unp(bockstein(gens.zeta_pair(1, 2)) * gens.zeta(1) + 3 * gens.zeta(2)),
+    ]
+    lines = [f"{e}\n{e!r}" for e in elems]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _expected():
+    cases = {f"{name}.out": (lambda argv=argv: _run_cli(argv)) for name, argv in CLI_CASES.items()}
+    cases["cup_products.txt"] = _cup_products
+    cases["element_texts.txt"] = _element_texts
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_expected()))
+def test_golden_output(name):
+    assert _expected()[name]() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, produce in _expected().items():
+        path = GOLDEN / name
+        if not path.exists():
+            path.write_bytes(produce())
+            print(f"wrote {path}", file=sys.stderr)
