@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 a verification disagreed where agreement is
 guaranteed; 2 Bockstein block not contained in the input subspace; 3 invalid
-input; 4 enumeration budget exceeded (retry with --mode sampled).
+input; 4 a resource limit was hit: the enumeration budget (retry with
+--mode sampled) or the available memory (MemoryError, "error: out of memory").
 
 Machine-readable output (--format json) is byte-identical for identical
 arguments and seed.  The only environment variable consulted is NO_COLOR.
@@ -645,14 +646,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, seed=True, workers=False, truncate=False):
+    def common(sp, *, seed=True, workers=None, truncate=False):
         sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
         if seed:
             sp.add_argument("--seed", type=int, default=0, help="seed for any randomized checks")
         if workers:
-            sp.add_argument(
-                "--workers", type=int, default=os.cpu_count(), help="worker threads (default: processor count)"
-            )
+            sp.add_argument("--workers", type=int, default=os.cpu_count(), help=workers + " (default: processor count)")
         if truncate:
             sp.add_argument(
                 "--truncate", type=int, default=None, help="series truncation degree (default: 2(w+r))"
@@ -673,12 +672,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--force", action="store_true", help="compute even with dependent quadratics")
     sp.add_argument("--max-reps", type=int, default=10, help="representatives shown per degree")
     sp.add_argument("--full", action="store_true", help="show every representative")
-    common(sp, workers=True, truncate=True)
+    common(sp, workers="worker threads for representatives, one degree each", truncate=True)
 
     sp = sub.add_parser("unp", help="universal complex on n generators vs the partition oracle")
     sp.add_argument("-n", type=int, required=True, help="number of generators")
     sp.add_argument("-p", type=int, default=None, help="odd prime (default: least odd prime > C(n,2)+1)")
-    common(sp, workers=True, truncate=True)
+    common(sp, workers="unused: threads serve only representatives, and unp computes ranks only", truncate=True)
 
     sp = sub.add_parser("group", help="construct the group and verify its axioms")
     sp.add_argument("-n", type=int, required=True, help="number of generators")
@@ -707,7 +706,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("crosscheck", help="Koszul-vs-oracle agreement over a range of n and p")
     sp.add_argument("--n-max", type=int, default=3, help="largest n (1..5)")
     sp.add_argument("--primes", default="7,11,101", help="comma-separated odd primes")
-    common(sp, seed=False, workers=True)
+    common(sp, seed=False, workers="worker threads, one (n, p) cell each; cells compute ranks only")
 
     return parser
 
@@ -774,6 +773,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc or 'allocation failed'}); try a smaller input", file=sys.stderr)
+        return EXIT_BUDGET
     _emit(report, spec.output_format)
     return code
 

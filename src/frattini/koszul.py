@@ -8,6 +8,12 @@ e-variables.  On a monomial with T = {t_1 < ... < t_k}:
 
 Homology in each degree is ker d / im d, computed by exact F_p elimination;
 representatives are canonical, so repeated runs agree byte for byte.
+
+d preserves a grading of the basis, so each degree's matrix is block-diagonal:
+the internal weight |S| + 2|T| of e_S x_T always, and the finer Z^w
+multidegree (e_i -> eps_i, x_t -> eps_a + eps_b) when every quadratic q_t is a
+single monomial c e_a e_b, as for ``unp_complex``.  Ranks-only Betti numbers
+are summed over these blocks; representatives use each degree's full matrix.
 """
 
 from __future__ import annotations
@@ -239,6 +245,15 @@ def differential(c: KoszulComplex, elem: ExtElement) -> ExtElement:
     return ExtElement(c.ambient, out)
 
 
+def _fill_columns(c: KoszulComplex, dom, index: dict, a: np.ndarray) -> None:
+    """Write d(dom[j]) mod p into column j of ``a``; ``index`` maps codomain keys to rows."""
+    for j, (eb, xb) in enumerate(dom):
+        for k, v in _diff_term(c, eb, xb).items():
+            v %= c.p
+            if v:
+                a[index[k], j] = v
+
+
 def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
     """Matrix of d from the degree-d basis to the degree-(d+1) basis.
 
@@ -247,14 +262,70 @@ def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
     """
     dom = _basis_bits(c.w, c.r, d) if 0 <= d <= c.top_degree else ()
     cod = _basis_bits(c.w, c.r, d + 1) if d + 1 <= c.top_degree else ()
-    index = {key: i for i, key in enumerate(cod)}
     a = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    for j, (eb, xb) in enumerate(dom):
-        for k, v in _diff_term(c, eb, xb).items():
-            v %= c.p
-            if v:
-                a[index[k], j] = v
+    _fill_columns(c, dom, {key: i for i, key in enumerate(cod)}, a)
     return FpMatrix(a, c.p)
+
+
+def _grading(c: KoszulComplex):
+    """A grade of the basis keys (e_bits, x_bits) that d preserves.
+
+    When every quadratic is a single monomial c e_a e_b this is the Z^w
+    multidegree, e_i -> eps_i and x_t -> eps_a + eps_b, as a tuple.  Otherwise
+    it is the internal weight |S| + 2|T| of e_S x_T.
+    """
+    pairs = []
+    for q in c.quadratics:
+        if len(q._terms) != 1:
+            return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
+        ((eb, _),) = q._terms
+        pairs.append([i for i in range(c.w) if eb >> i & 1])
+    x_degrees: dict[int, list[int]] = {}
+
+    def multidegree(key):
+        eb, xb = key
+        base = x_degrees.get(xb)
+        if base is None:
+            base = [0] * c.w
+            for t, (a, b) in enumerate(pairs):
+                if xb >> t & 1:
+                    base[a] += 1
+                    base[b] += 1
+            x_degrees[xb] = base
+        return tuple(m + (eb >> i & 1) for i, m in enumerate(base))
+
+    return multidegree
+
+
+def _graded_basis(c: KoszulComplex, d: int, grade) -> dict:
+    """The degree-d basis keys bucketed by grade, each bucket in canonical order."""
+    buckets: dict = {}
+    for key in _basis_bits(c.w, c.r, d):
+        buckets.setdefault(grade(key), []).append(key)
+    return buckets
+
+
+def _block_ranks(c: KoszulComplex) -> tuple[list[int], list[int]]:
+    """Basis sizes and rank(d_d) for d = 0..w+r, one rank call per graded block.
+
+    d maps each grade of degree d into the same grade of degree d + 1, so its
+    matrix is block-diagonal and its rank is the sum of the block ranks.
+    """
+    grade = _grading(c)
+    sizes, ranks = [], []
+    cod = _graded_basis(c, 0, grade)
+    for d in range(c.top_degree + 1):
+        dom, cod = cod, _graded_basis(c, d + 1, grade)
+        total = 0
+        for g, cols in dom.items():
+            rows = cod.get(g)
+            if rows:
+                a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+                _fill_columns(c, cols, {key: i for i, key in enumerate(rows)}, a)
+                total += fplin.rank(FpMatrix(a, c.p))
+        sizes.append(sum(len(cols) for cols in dom.values()))
+        ranks.append(total)
+    return sizes, ranks
 
 
 @dataclass(frozen=True)
@@ -350,20 +421,24 @@ def _keys_to_elements(c: KoszulComplex, d: int, vectors) -> list[ExtElement]:
 def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int | None = None) -> BettiTable:
     """Homology of the complex: dims b_0..b_(w+r) and canonical representatives.
 
-    b_d = dim ker(d_d) - rank(d_(d-1)).  Degrees are independent; pass
-    ``workers`` > 1 to evaluate them in a thread pool (output is identical
-    either way).
+    b_d = dim ker(d_d) - rank(d_(d-1)).  With representatives, each degree's
+    dense matrix is reduced and degrees are independent; pass ``workers`` > 1
+    to evaluate them in a thread pool (output is identical either way).
+    Without representatives, ranks are summed over the graded blocks of each
+    degree (see ``_grading``), no matrix is kept and ``workers`` is unused.
     """
     top = c.top_degree
+    if not with_representatives:
+        sizes, ranks = _block_ranks(c)
+        dims = [sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1)]
+        return BettiTable(c, dims, None, None)
+
     mats = [differential_matrix(c, d) for d in range(top + 1)]
 
     def degree_data(d: int):
-        if with_representatives:
-            ker = fplin.kernel_basis(mats[d])
-            bnd = list(mats[d - 1].entries.T) if d > 0 else []
-            reps = fplin.quotient_representatives(ker, bnd, c.p)
-            return len(ker), reps
-        return mats[d].cols - fplin.rank(mats[d]), None
+        ker = fplin.kernel_basis(mats[d])
+        bnd = list(mats[d - 1].entries.T) if d > 0 else []
+        return len(ker), fplin.quotient_representatives(ker, bnd, c.p)
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -372,17 +447,14 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
         data = [degree_data(d) for d in range(top + 1)]
 
     dims = []
-    reps_by_degree = [] if with_representatives else None
+    reps_by_degree = []
     prev_rank = 0
     for d in range(top + 1):
         ker_dim, reps = data[d]
         dims.append(ker_dim - prev_rank)
         prev_rank = mats[d].cols - ker_dim
-        if with_representatives:
-            reps_by_degree.append(tuple(_keys_to_elements(c, d, reps)))
-    if with_representatives:
-        reps_by_degree = tuple(reps_by_degree)
-    return BettiTable(c, dims, reps_by_degree, mats)
+        reps_by_degree.append(tuple(_keys_to_elements(c, d, reps)))
+    return BettiTable(c, dims, tuple(reps_by_degree), mats)
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:

@@ -11,8 +11,9 @@ pi^(-1)(S) of order p^(n' + dim S); without it the group is all of K with
 order p^(2n').  Always x^p = p x, so the elements of order dividing p are
 exactly p K and every one of them is central.
 
-Batch verification runs on int64 numpy arrays; the modulus is capped so that
-every intermediate (including the bilinear bracket contraction) stays exact.
+Batch verification runs on int64 numpy arrays; the modulus is capped and the
+bracket's nonzero structure constants are counted so that every intermediate
+(including the bilinear bracket contraction) stays exact.
 """
 
 from __future__ import annotations
@@ -36,12 +37,27 @@ __all__ = [
     "unp_group",
 ]
 
-# p^2 < 2^31 keeps the batched mod-p^2 einsum contraction inside exact int64.
+# p^2 < 2^31 keeps every product of two residues mod p^2 inside exact int64.
+# The bracket contraction is bounded separately (_check_bracket_bound).
 _PGROUP_PRIME_CAP = 46337
 
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_TRIPLES = 10 ** 5
 ASSOC_EXHAUSTIVE_BUDGET = 10 ** 8
+
+
+def _check_bracket_bound(terms: int, p: int) -> None:
+    """Refuse a bracket contraction that could overflow int64.
+
+    Each output coordinate k of the batched bracket sums one product of three
+    residues mod p per nonzero structure constant [b_i, b_j]_k, so the sum is
+    exact when terms * (p - 1)^3 < 2^63, where terms is the largest such count.
+    """
+    if terms * (p - 1) ** 3 >= 1 << 63:
+        raise ValueError(
+            f"{terms} nonzero structure constants in one coordinate times (p - 1)^3"
+            f" reach 2^63 at p = {p}; the bracket contraction would overflow int64"
+        )
 
 
 class ConstraintViolation(ValueError):
@@ -186,6 +202,8 @@ class PGroup:
         self.q = int(self.p) ** 2
         n = algebra.gen_count
         self._table = np.mod(np.array(algebra.bracket, dtype=np.int64), self.p)
+        if n:
+            _check_bracket_bound(int(np.count_nonzero(self._table, axis=(0, 1)).max()), int(self.p))
         if constraint is None:
             self._s_basis = np.eye(n, dtype=np.int64)
         else:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from frattini import koszul
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -413,3 +414,16 @@ def test_help_exits_0(argv):
             main(argv)
     assert exc.value.code == EXIT_OK
     assert "usage:" in out.getvalue()
+
+
+@pytest.mark.parametrize("argv", [HEISENBERG, ["unp", "-n", "3"]], ids=["koszul", "unp"])
+def test_out_of_memory_exits_4(monkeypatch, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.23 GiB for an array")
+
+    monkeypatch.setattr(koszul, "betti", exhausted)
+    code, out, err = invoke(argv)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err

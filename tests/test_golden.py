@@ -1,9 +1,16 @@
 """Frozen golden outputs: exact stdout bytes and exit codes of fixed CLI runs,
 plus the text of every cup product of degree-1 classes of one small complex.
 
-The files under ``tests/golden/`` were written once from the code before the
-shared term-map refactor and are never regenerated; a mismatch means an output
-changed.  ``python tests/test_golden.py`` writes only files that are missing.
+The files under ``tests/golden/`` are never regenerated; a mismatch means an
+output changed.  ``python tests/test_golden.py`` writes only files that are
+missing.  They were written in two groups, each from the code before the change
+that the group guards:
+
+* every file except the three below: at commit 02697f4, before the shared
+  term-map refactor;
+* ``unp_n5_json.out``, ``unp_n5_pmax_text.out`` and ``crosscheck_n5_json.out``:
+  at commit b483bec, before ranks-only Betti numbers were computed by graded
+  blocks (the last one includes p = 7, outside the n = 5 guarantee).
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
@@ -38,6 +45,9 @@ CLI_CASES = {
     "series_json": ["series", "--numerator", "1,2,2,1", "-w", "2", "-r", "1", "--format", "json"],
     "crosscheck_json": ["crosscheck", "--n-max", "3", "--primes", "7,11", "--format", "json"],
     "group_json": ["group", "-n", "1", "-p", "3", "--format", "json"],
+    "unp_n5_json": ["unp", "-n", "5", "--format", "json"],
+    "unp_n5_pmax_text": ["unp", "-n", "5", "-p", "2147483647"],
+    "crosscheck_n5_json": ["crosscheck", "--n-max", "5", "--primes", "7,17", "--format", "json"],
 }
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,9 @@ from frattini import (
     parse,
     unp_complex,
 )
-from frattini.extalg import _basis_bits
+from frattini import fplin, koszul
+from frattini.extalg import ExtElement, _basis_bits
+from frattini.younghook import unp_betti
 
 from helpers import random_complex, random_element
 
@@ -251,3 +254,116 @@ def test_deterministic_output(rng):
     assert t1.dims == t2.dims
     for d in range(c.top_degree + 1):
         assert [str(a) for a in t1.representatives[d]] == [str(b) for b in t2.representatives[d]]
+
+
+# -- ranks-only Betti numbers by graded blocks ---------------------------------
+
+
+def dense_dims(c):
+    """Betti numbers from the full dense matrix of every degree."""
+    ranks = [fplin.rank(differential_matrix(c, d)) for d in range(c.top_degree + 1)]
+    sizes = [len(_basis_bits(c.w, c.r, d)) for d in range(c.top_degree + 1)]
+    return tuple(sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(c.top_degree + 1))
+
+
+def assert_block_dims_match(c):
+    lean = betti(c, with_representatives=False).dims
+    assert lean == dense_dims(c)
+    assert lean == betti(c).dims
+    return lean
+
+
+def forced_complex(w, p, quads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return KoszulComplex(w, p, quads, force=True)
+
+
+def is_multidegree(c):
+    grade = koszul._grading(c)((0, (1 << c.r) - 1))
+    return isinstance(grade, tuple) and len(grade) == c.w
+
+
+@pytest.mark.parametrize("p", [3, 7, 2147483647])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_ranks_match_dense_on_unp(n, p):
+    c = unp_complex(n, p)
+    assert is_multidegree(c)
+    dims = assert_block_dims_match(c)
+    if c.hypothesis_met:
+        assert list(dims) == unp_betti(n)
+
+
+@pytest.mark.parametrize("p", [17, 2147483647])
+def test_block_ranks_unp5_match_oracle(p):
+    c = unp_complex(5, p)
+    assert list(betti(c, with_representatives=False).dims) == unp_betti(5)
+
+
+def test_block_ranks_random_monomial_families(rng):
+    for _ in range(20):
+        w = rng.randint(2, 5)
+        p = rng.choice((3, 5, 7, 2147483647))
+        amb = Ambient(w, 0, p)
+        quads = []
+        for _ in range(rng.randint(1, 6)):
+            a, b = sorted(rng.sample(range(w), 2))
+            quads.append(ExtElement(amb, {((1 << a) | (1 << b), 0): rng.randrange(1, p)}))
+        c = forced_complex(w, p, quads)
+        assert is_multidegree(c)
+        assert_block_dims_match(c)
+
+
+def test_block_ranks_one_non_monomial_quadratic_uses_weight(rng):
+    for _ in range(10):
+        w = rng.randint(3, 5)
+        p = rng.choice((3, 5, 7))
+        amb = Ambient(w, 0, p)
+        pairs = [(1 << a) | (1 << b) for a in range(w) for b in range(a + 1, w)]
+        quads = [ExtElement(amb, {(eb, 0): rng.randrange(1, p)}) for eb in rng.sample(pairs, rng.randint(0, 3))]
+        e1, e2 = rng.sample(pairs, 2)
+        quads.insert(rng.randint(0, len(quads)), ExtElement(amb, {(e1, 0): 1, (e2, 0): rng.randrange(1, p)}))
+        c = forced_complex(w, p, quads)
+        assert koszul._grading(c)((1, 1)) == 3
+        assert_block_dims_match(c)
+
+
+def test_block_ranks_zero_quadratic_under_force():
+    amb = Ambient(3, 0, 5)
+    c = forced_complex(3, 5, [parse("e1^e2", amb), amb.zero()])
+    assert not is_multidegree(c)
+    dims = assert_block_dims_match(c)
+    assert dims[:2] == (1, 4)
+
+
+@pytest.mark.parametrize("w", [0, 3])
+def test_block_ranks_r0(w):
+    c = KoszulComplex(w, 7, [])
+    assert assert_block_dims_match(c) == tuple(len(_basis_bits(w, 0, d)) for d in range(w + 1))
+
+
+def test_block_ranks_w0_with_zero_quadratics():
+    c = forced_complex(0, 5, [Ambient(0, 0, 5).zero()] * 2)
+    assert (c.w, c.r) == (0, 2)
+    assert assert_block_dims_match(c) == (1, 2, 1)
+
+
+def test_ranks_only_builds_no_dense_matrix(monkeypatch):
+    def refuse(c, d):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(koszul, "differential_matrix", refuse)
+    assert betti(unp_complex(3, 7), with_representatives=False).dims == (1, 3, 8, 12, 8, 3, 1)
+
+
+def test_ranks_only_unp5_memory():
+    tracemalloc.start()
+    try:
+        table = betti(unp_complex(5, 17), with_representatives=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert table._matrices is None and table.representatives is None
+    with pytest.raises(ValueError):
+        table.classes(1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frattini import pgroups
 from frattini.pgroups import (
     BudgetExceeded,
     ConstraintViolation,
@@ -178,3 +179,26 @@ def test_sampled_determinism():
 def test_prime_cap():
     with pytest.raises(ValueError):
         PGroup(free_two_step(2), 46349)
+
+
+@pytest.mark.parametrize("p", [3, 46337])
+def test_bracket_bound_edge(p):
+    edge = ((1 << 63) - 1) // (p - 1) ** 3  # largest count with count * (p-1)^3 < 2^63
+    pgroups._check_bracket_bound(edge, p)
+    with pytest.raises(ValueError, match="overflow"):
+        pgroups._check_bracket_bound(edge + 1, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_built_in_algebras_within_bracket_bound(n):
+    table = np.array(free_two_step(n).bracket)
+    assert np.count_nonzero(table, axis=(0, 1)).max() <= 2
+    PGroup(free_two_step(n), 46337)
+    unp_group(n, 46337)
+
+
+def test_bracket_bound_enforced_at_construction(monkeypatch):
+    checked = []
+    monkeypatch.setattr(pgroups, "_check_bracket_bound", lambda terms, p: checked.append((terms, p)))
+    PGroup(free_two_step(2), 5)  # [b_1, b_2] and [b_2, b_1] both land in the central coordinate
+    assert checked == [(2, 5)]
