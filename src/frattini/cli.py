@@ -208,18 +208,20 @@ def _series_report(q: series.PoincarePolynomial, w: int, r: int, truncation: int
 
 def _complex_report(
     cx: koszul.KoszulComplex,
-    caught: list[str],
+    caught: list[warnings.WarningMessage],
     *,
     truncation: int | None,
     max_reps: int | None,
     with_representatives: bool,
-    workers: int | None,
 ) -> dict:
-    table = koszul.betti(cx, with_representatives=with_representatives, workers=workers)
+    """Report shared by koszul and unp.  ``caught`` records warnings as this
+    runs; those from ``betti`` are listed before those from construction."""
+    built = len(caught)
+    table = koszul.betti(cx, with_representatives=with_representatives)
+    warnings_out = [str(item.message) for item in caught[built:] + caught[:built]]
     poincare = _series_report(series.from_betti(table), cx.w, cx.r, truncation)
     poincare["denominator_exponent"] = cx.top_degree
 
-    warnings_out = list(caught)
     if not cx.hypothesis_met:
         warnings_out.append(
             f"p = {int(cx.p)} <= r + 1 = {cx.r + 1}: the collapse guarantee does not"
@@ -272,11 +274,10 @@ def run_koszul(spec: JobSpec) -> tuple[dict, int]:
             raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
         report = _complex_report(
             cx,
-            [str(item.message) for item in caught],
+            caught,
             truncation=spec.truncation,
             max_reps=None if params.get("full") else params.get("max_reps", 10),
             with_representatives=True,
-            workers=params.get("workers"),
         )
     report["command"] = "koszul"
     if isinstance(payload, koszul.KInvariantSubspace):
@@ -297,11 +298,10 @@ def run_unp(spec: JobSpec) -> tuple[dict, int]:
         cx = koszul.unp_complex(n, p)
         report = _complex_report(
             cx,
-            [str(item.message) for item in caught],
+            caught,
             truncation=spec.truncation,
             max_reps=None,
             with_representatives=False,
-            workers=params.get("workers"),
         )
     oracle = younghook.unp_betti(n)
     per_degree = []
@@ -672,12 +672,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--force", action="store_true", help="compute even with dependent quadratics")
     sp.add_argument("--max-reps", type=int, default=10, help="representatives shown per degree")
     sp.add_argument("--full", action="store_true", help="show every representative")
-    common(sp, workers="worker threads for representatives, one degree each", truncate=True)
+    common(sp, truncate=True)
 
     sp = sub.add_parser("unp", help="universal complex on n generators vs the partition oracle")
     sp.add_argument("-n", type=int, required=True, help="number of generators")
     sp.add_argument("-p", type=int, default=None, help="odd prime (default: least odd prime > C(n,2)+1)")
-    common(sp, workers="unused: threads serve only representatives, and unp computes ranks only", truncate=True)
+    common(sp, truncate=True)
 
     sp = sub.add_parser("group", help="construct the group and verify its axioms")
     sp.add_argument("-n", type=int, required=True, help="number of generators")
@@ -722,10 +722,9 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
             "force": args.force,
             "max_reps": args.max_reps,
             "full": args.full,
-            "workers": args.workers,
         }
     elif args.command == "unp":
-        params = {"n": args.n, "p": args.p, "workers": args.workers}
+        params = {"n": args.n, "p": args.p}
     elif args.command == "group":
         params = {
             "n": args.n,

@@ -128,8 +128,14 @@ class Monomial:
         return len(self.e_set) + len(self.x_set)
 
     def __str__(self) -> str:
-        factors = [f"e{i}" for i in self.e_set] + [f"x{i}" for i in self.x_set]
-        return "^".join(factors) if factors else "1"
+        return _monomial_text(self.e_bits, self.x_bits)
+
+
+@lru_cache(maxsize=1 << 14)
+def _monomial_text(e_bits: int, x_bits: int) -> str:
+    """Text of e_S x_T from its bitmasks, such as "e1^e3^x2"; "1" when both are empty."""
+    factors = [f"e{i}" for i in _bits_to_indices(e_bits)] + [f"x{i}" for i in _bits_to_indices(x_bits)]
+    return "^".join(factors) if factors else "1"
 
 
 def _merge_sign(a: int, b: int) -> int:
@@ -428,11 +434,11 @@ def parse(text: str, ambient: Ambient) -> ExtElement:
 def format_element(elem: ExtElement) -> str:
     """Canonical text: terms in basis order, coefficients in [1, p-1]."""
     parts = []
-    for mono, c in elem.terms():
-        if mono.degree == 0:
+    for key in sorted(elem._terms, key=_term_key):
+        c = elem._terms[key]
+        if key == (0, 0):
             parts.append(str(c))
-        elif c == 1:
-            parts.append(str(mono))
         else:
-            parts.append(f"{c} {mono}")
+            mono = _monomial_text(*key)
+            parts.append(mono if c == 1 else f"{c} {mono}")
     return " + ".join(parts) if parts else "0"

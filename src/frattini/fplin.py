@@ -110,6 +110,16 @@ class FpMatrix:
         return f"FpMatrix({self._a.tolist()!r}, p={int(self.p)})"
 
 
+def _subtract_multiples(x: np.ndarray, rows: np.ndarray, f: np.ndarray, row: np.ndarray, p: int) -> None:
+    """In place, x[rows[i]] -= f[i] * row mod p for every i.
+
+    Every entry is a residue below 2**31, so each product is below 2**62 and
+    fits in int64.  Nothing sums products (no ``@``, ``dot`` or ``einsum``):
+    near p = 2**31 such a sum overflows int64.
+    """
+    x[rows] = (x[rows] - np.outer(f, row)) % p
+
+
 def _echelon(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
     """Row-reduce a copy of ``a`` mod p.
 
@@ -139,7 +149,7 @@ def _echelon(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
         else:
             rows = r + 1 + np.nonzero(R[r + 1:, c])[0]
         if rows.size:
-            R[rows] = (R[rows] - np.outer(R[rows, c], R[r])) % p
+            _subtract_multiples(R, rows, R[rows, c], R[r], p)
         pivots.append(c)
         r += 1
     return R, pivots
@@ -164,19 +174,11 @@ def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
     Exactly cols - rank vectors are returned.
     """
     R, piv = _echelon(m.entries, m.p, reduced=True)
-    p = m.p
-    n = m.cols
-    pivset = set(piv)
-    out: list[np.ndarray] = []
-    for f in range(n):
-        if f in pivset:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for k, c in enumerate(piv):
-            v[c] = (-int(R[k, f])) % p
-        out.append(v)
-    return out
+    free = np.setdiff1d(np.arange(m.cols), piv)
+    k = np.zeros((free.size, m.cols), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, piv] = (-R[:len(piv)][:, free].T) % m.p
+    return list(k)
 
 
 def solve(m: FpMatrix, b) -> np.ndarray | None:
@@ -197,69 +199,68 @@ def solve(m: FpMatrix, b) -> np.ndarray | None:
     return x
 
 
-class _Echelon:
-    """Incremental echelon basis used for span membership and reduction."""
+def _reduce_rows(w: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Reduce every row of ``w`` in place against an echelon ``basis``; returns ``w``.
 
-    def __init__(self, n: int, p: int):
-        self.n = n
-        self.p = p
-        self.rows: list[np.ndarray] = []   # each with leading coefficient 1
-        self.lead: list[int] = []          # pivot column per row, increasing insert order
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        w = np.mod(v, self.p)
-        for row, c in zip(self.rows, self.lead):
-            f = int(w[c])
-            if f:
-                w = (w - f * row) % self.p
-        return w
-
-    def add(self, v: np.ndarray) -> bool:
-        """Reduce v against the basis; absorb the remainder.  True if new."""
-        w = self.reduce(v)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        inv = pow(int(w[c]), self.p - 2, self.p)
-        if inv != 1:
-            w = w * inv % self.p
-        self.rows.append(w)
-        self.lead.append(c)
-        return True
+    ``basis`` row k has a leading 1 in column ``pivots[k]``, the pivots
+    increasing.  Each row ends zero on ``pivots``, and zero exactly when it lies
+    in the row space; for an RREF basis it is the normal form defined in
+    ``quotient_representatives``.  One vectorised step per pivot.
+    """
+    for k, c in enumerate(pivots):
+        f = w[:, c]
+        rows = np.nonzero(f)[0]
+        if rows.size:
+            _subtract_multiples(w, rows, f[rows], basis[k], p)
+    return w
 
 
 def quotient_representatives(cycles, boundaries, p) -> list[np.ndarray]:
     """Vectors completing span(boundaries) to span(cycles).
 
-    Requires span(boundaries) <= span(cycles); raises BoundaryNotCycle
-    otherwise.  Exactly dim span(cycles) - dim span(boundaries) vectors come
-    back, each nonzero modulo span(boundaries), produced deterministically by
-    reducing the cycle list in order against a growing echelon basis.
+    Requires span(boundaries) <= span(cycles); raises BoundaryNotCycle, naming
+    the first boundary outside, otherwise.  Exactly dim span(cycles) -
+    dim span(boundaries) vectors come back.
+
+    The normal form of v modulo a subspace S is the unique vector of v + S
+    that is zero on the pivot columns of the RREF of S.  Representative i is
+    the normal form of cycle i modulo span(boundaries, cycles 0..i-1), kept
+    (not rescaled) when nonzero.  All cycles are reduced modulo the boundaries
+    in one batched pass; one forward pass over them then clears each
+    representative's lead column from the cycles after it.
     """
     p = as_prime(p)
-    cyc = [np.mod(np.asarray(v, dtype=np.int64), p) for v in cycles]
-    bnd = [np.mod(np.asarray(v, dtype=np.int64), p) for v in boundaries]
-    lengths = {v.shape[0] for v in cyc} | {v.shape[0] for v in bnd}
+    cyc_rows = [np.asarray(v, dtype=np.int64) for v in cycles]
+    rows = cyc_rows + [np.asarray(v, dtype=np.int64) for v in boundaries]
+    lengths = {v.shape[0] for v in rows}
     if len(lengths) > 1:
         raise ValueError(f"mixed vector lengths {sorted(lengths)}")
-    if not lengths:
+    if not rows:
         return []
-    n = lengths.pop()
+    a = np.stack(rows)
+    np.mod(a, p, out=a)
+    k = len(cyc_rows)
+    cyc, bnd = a[:k], a[k:]
 
-    cyc_span = _Echelon(n, p)
-    for v in cyc:
-        cyc_span.add(v)
-    bnd_span = _Echelon(n, p)
-    for i, v in enumerate(bnd):
-        if cyc_span.reduce(v).any():
-            raise BoundaryNotCycle(f"boundary {i} is not in the span of the cycles")
-        bnd_span.add(v)
-
+    cyc_echelon, cyc_pivots = _echelon(cyc, p, reduced=False)
+    bnd_rref, bnd_pivots = _echelon(bnd, p, reduced=True)
+    w = _reduce_rows(cyc, bnd_rref, bnd_pivots, p)
     reps: list[np.ndarray] = []
-    for v in cyc:
-        w = bnd_span.reduce(v)
-        if w.any():
-            reps.append(w)
-            bnd_span.add(w)
+    for i in range(k):
+        nz = np.nonzero(w[i])[0]
+        if nz.size == 0:
+            continue
+        rep = w[i].copy()
+        reps.append(rep)
+        c = int(nz[0])
+        below = i + 1 + np.nonzero(w[i + 1:, c])[0]
+        if below.size:
+            f = w[below, c] * pow(int(rep[c]), p - 2, p) % p
+            _subtract_multiples(w, below, f, rep, p)
+
+    # dim(span(boundaries) + span(cycles)) = len(bnd_pivots) + len(reps); it
+    # equals dim span(cycles) exactly when every boundary is a cycle.
+    if len(bnd_pivots) + len(reps) != len(cyc_pivots):
+        outside = _reduce_rows(bnd, cyc_echelon, cyc_pivots, p).any(axis=1)
+        raise BoundaryNotCycle(f"boundary {int(np.nonzero(outside)[0][0])} is not in the span of the cycles")
     return reps

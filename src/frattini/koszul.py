@@ -19,7 +19,6 @@ are summed over these blocks; representatives use each degree's full matrix.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -107,8 +106,8 @@ class KoszulComplex:
 
     Quadratics are rejected when linearly dependent unless force=True, in
     which case homology is still computed but the usual degree-1 dimension
-    guarantee is off.  Sizes are capped at w + r <= 22 (warning above 16):
-    matrix sides reach C(w+r, d).
+    guarantee is off.  Sizes are capped at w + r <= 22; ``betti`` warns above
+    16 when it builds full-degree matrices, whose sides reach C(w+r, d).
     """
 
     __slots__ = ("w", "r", "p", "quadratics", "quadratics_independent", "ambient")
@@ -123,12 +122,6 @@ class KoszulComplex:
         if self.w + self.r > HARD_SIZE_LIMIT:
             raise ValueError(
                 f"w + r = {self.w + self.r} exceeds the hard limit {HARD_SIZE_LIMIT}"
-            )
-        if self.w + self.r > WARN_SIZE_LIMIT:
-            warnings.warn(
-                f"w + r = {self.w + self.r}: matrix sides reach C({self.w + self.r}, d); expect long runtimes",
-                RuntimeWarning,
-                stacklevel=2,
             )
         self.ambient = Ambient(self.w, self.r, self.p)
         self.quadratics = tuple(self._embed(q) for q in quads)
@@ -422,10 +415,11 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     """Homology of the complex: dims b_0..b_(w+r) and canonical representatives.
 
     b_d = dim ker(d_d) - rank(d_(d-1)).  With representatives, each degree's
-    dense matrix is reduced and degrees are independent; pass ``workers`` > 1
-    to evaluate them in a thread pool (output is identical either way).
+    dense matrix is built and reduced, one degree after another; above
+    w + r = WARN_SIZE_LIMIT this warns, as matrix sides reach C(w+r, d).
     Without representatives, ranks are summed over the graded blocks of each
-    degree (see ``_grading``), no matrix is kept and ``workers`` is unused.
+    degree (see ``_grading``) and no matrix is kept.  ``workers`` is accepted
+    for compatibility and ignored: degrees always run serially.
     """
     top = c.top_degree
     if not with_representatives:
@@ -433,26 +427,22 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
         dims = [sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1)]
         return BettiTable(c, dims, None, None)
 
+    if top > WARN_SIZE_LIMIT:
+        warnings.warn(
+            f"w + r = {top}: matrix sides reach C({top}, d); expect long runtimes",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     mats = [differential_matrix(c, d) for d in range(top + 1)]
-
-    def degree_data(d: int):
-        ker = fplin.kernel_basis(mats[d])
-        bnd = list(mats[d - 1].entries.T) if d > 0 else []
-        return len(ker), fplin.quotient_representatives(ker, bnd, c.p)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            data = list(pool.map(degree_data, range(top + 1)))
-    else:
-        data = [degree_data(d) for d in range(top + 1)]
-
     dims = []
     reps_by_degree = []
     prev_rank = 0
     for d in range(top + 1):
-        ker_dim, reps = data[d]
-        dims.append(ker_dim - prev_rank)
-        prev_rank = mats[d].cols - ker_dim
+        ker = fplin.kernel_basis(mats[d])
+        bnd = list(mats[d - 1].entries.T) if d > 0 else []
+        reps = fplin.quotient_representatives(ker, bnd, c.p)
+        dims.append(len(ker) - prev_rank)
+        prev_rank = mats[d].cols - len(ker)
         reps_by_degree.append(tuple(_keys_to_elements(c, d, reps)))
     return BettiTable(c, dims, tuple(reps_by_degree), mats)
 

@@ -427,3 +427,23 @@ def test_out_of_memory_exits_4(monkeypatch, argv):
     assert out == ""
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def test_size_warning_reported_by_koszul_not_unp(monkeypatch):
+    monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
+    code, report = invoke_json(["koszul", "-w", "3", "-p", "5", "-q", "e1^e2"])
+    assert code == EXIT_OK
+    assert "w + r = 4: matrix sides reach C(4, d); expect long runtimes" in report["warnings"]
+    code, report = invoke_json(["unp", "-n", "3"])
+    assert code == EXIT_OK
+    assert not any("matrix sides" in note for note in report["warnings"])
+
+
+def test_size_warning_listed_before_dependent_warning(monkeypatch):
+    monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
+    code, report = invoke_json(["koszul", "-w", "3", "-p", "5", "-q", "e1^e2", "-q", "e1^e2", "--force"])
+    assert code == EXIT_OK
+    assert report["warnings"] == [
+        "w + r = 5: matrix sides reach C(5, d); expect long runtimes",
+        "dependent quadratics: computing homology without the b_1 = w guarantee",
+    ]

@@ -13,6 +13,8 @@ from frattini.fplin import (
     solve,
 )
 
+from helpers import reference_kernel_basis, reference_quotient_representatives
+
 
 def test_prime_accepts_odd_primes():
     assert Prime(3) == 3
@@ -137,3 +139,91 @@ def test_quotient_representatives_counts(rng):
         dim_c = rank(FpMatrix(np.array(cycles).reshape(-1, n), p))
         dim_b = rank(FpMatrix(np.array(boundaries).reshape(-1, n), p))
         assert len(reps) == dim_c - dim_b
+
+
+PRIMES = (3, 7, 2147483647)
+
+
+def _random_vectors(rng, p, n, count):
+    """Random vectors with zero and repeated ones mixed in."""
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.15:
+            out.append(np.zeros(n, dtype=np.int64))
+        elif roll < 0.3 and out:
+            out.append(rng.choice(out).copy())
+        else:
+            out.append(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
+    return out
+
+
+def _combinations(rng, p, vectors, n, count):
+    """Random linear combinations of ``vectors`` (zero when there are none)."""
+    out = []
+    for _ in range(count):
+        acc = np.zeros(n, dtype=np.int64)
+        for v in vectors:
+            if rng.random() < 0.5:
+                acc = (acc + rng.randrange(p) * v) % p
+        out.append(acc)
+    return out
+
+
+def _as_lists(vectors):
+    return [v.tolist() for v in vectors]
+
+
+def test_quotient_representatives_match_reference(rng):
+    for _ in range(300):
+        p = rng.choice(PRIMES)
+        n = rng.randint(1, 12)
+        cycles = _random_vectors(rng, p, n, rng.randint(0, 2 * n))
+        spanning = cycles[:rng.randint(0, len(cycles))]
+        boundaries = _combinations(rng, p, spanning, n, rng.randint(0, n + 2))
+        if boundaries and rng.random() < 0.3:
+            boundaries.append(boundaries[0].copy())
+        got = quotient_representatives(cycles, boundaries, p)
+        want = reference_quotient_representatives(cycles, boundaries, p)
+        assert _as_lists(got) == _as_lists(want), (p, n)
+        assert all(v.dtype == np.int64 for v in got)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_quotient_representatives_empty_lists(p):
+    z = np.zeros(4, dtype=np.int64)
+    assert quotient_representatives([], [], p) == []
+    assert quotient_representatives([], [z, z], p) == []
+    cycles = [np.array([0, 2, 1, 0]), z, np.array([0, 4, 2, 0])]
+    assert _as_lists(quotient_representatives(cycles, [], p)) == _as_lists(
+        reference_quotient_representatives(cycles, [], p)
+    )
+    with pytest.raises(BoundaryNotCycle, match="boundary 1 "):
+        quotient_representatives([], [z, np.array([0, 0, 1, 0])], p)
+
+
+def test_quotient_representatives_same_boundary_not_cycle_index(rng):
+    for _ in range(100):
+        p = rng.choice(PRIMES)
+        n = rng.randint(2, 12)
+        cycles = _random_vectors(rng, p, n, rng.randint(0, n - 1))
+        boundaries = _combinations(rng, p, cycles, n, rng.randint(0, 4))
+        for _ in range(rng.randint(1, 3)):
+            # a vector off span(cycles), which has dimension below n
+            outside = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+            while not reference_quotient_representatives(cycles + [outside], cycles, p):
+                outside = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+            boundaries.insert(rng.randint(0, len(boundaries)), outside)
+        with pytest.raises(BoundaryNotCycle) as want:
+            reference_quotient_representatives(cycles, boundaries, p)
+        with pytest.raises(BoundaryNotCycle) as got:
+            quotient_representatives(cycles, boundaries, p)
+        assert str(got.value) == str(want.value)
+
+
+def test_kernel_basis_matches_reference(rng):
+    for _ in range(100):
+        p = rng.choice(PRIMES)
+        rows, cols = rng.randint(0, 8), rng.randint(0, 12)
+        m = FpMatrix(np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]).reshape(rows, cols), p)
+        assert _as_lists(kernel_basis(m)) == _as_lists(reference_kernel_basis(m))

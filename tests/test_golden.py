@@ -10,11 +10,19 @@ that the group guards:
   term-map refactor;
 * ``unp_n5_json.out``, ``unp_n5_pmax_text.out`` and ``crosscheck_n5_json.out``:
   at commit b483bec, before ranks-only Betti numbers were computed by graded
-  blocks (the last one includes p = 7, outside the n = 5 guarantee).
+  blocks (the last one includes p = 7, outside the n = 5 guarantee);
+* ``koszul_generic_w6_r4_pmax_full_json.out`` and
+  ``koszul_dependent_w5_r4_p5_force_full_json.out``: at commit 3196726, before
+  quotient representatives were computed by one batched elimination per degree.
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
-F_7 drawn with ``random.Random(7)``.
+F_7 drawn with ``random.Random(7)``; ``generic_w6_r4_pmax.json`` holds four
+dense quadratics in six variables over F_p, p = 2^31 - 1, every coefficient
+drawn from [1, p) with ``random.Random(6)`` (products of residues there come
+closest to the int64 bound); ``dependent_w5_r4_p5.json`` holds three quadratics
+in five variables over F_5 drawn with ``random.Random(5)`` followed by a repeat
+of the second, so its boundaries have many dependent columns.
 """
 
 import contextlib
@@ -48,6 +56,12 @@ CLI_CASES = {
     "unp_n5_json": ["unp", "-n", "5", "--format", "json"],
     "unp_n5_pmax_text": ["unp", "-n", "5", "-p", "2147483647"],
     "crosscheck_n5_json": ["crosscheck", "--n-max", "5", "--primes", "7,17", "--format", "json"],
+    "koszul_generic_w6_r4_pmax_full_json": [
+        "koszul", "{inputs}/generic_w6_r4_pmax.json", "--full", "--format", "json",
+    ],
+    "koszul_dependent_w5_r4_p5_force_full_json": [
+        "koszul", "{inputs}/dependent_w5_r4_p5.json", "--force", "--full", "--format", "json",
+    ],
 }
 
 

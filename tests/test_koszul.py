@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 import warnings
 
@@ -25,7 +26,7 @@ from frattini import fplin, koszul
 from frattini.extalg import ExtElement, _basis_bits
 from frattini.younghook import unp_betti
 
-from helpers import random_complex, random_element
+from helpers import random_complex, random_element, random_quadratic
 
 
 def heisenberg(p=5):
@@ -367,3 +368,41 @@ def test_ranks_only_unp5_memory():
     assert table._matrices is None and table.representatives is None
     with pytest.raises(ValueError):
         table.classes(1)
+
+
+def test_representatives_memory():
+    """betti with representatives on a generic (w, r, p) = (7, 4, 11) complex."""
+    rng = random.Random(7411)
+    while True:
+        quads = [random_quadratic(rng, 7, 11) for _ in range(4)]
+        try:
+            c = KoszulComplex(7, 11, quads)
+            break
+        except DependentQuadratics:
+            continue
+    tracemalloc.start()
+    try:
+        table = betti(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert [len(reps) for reps in table.representatives] == list(table.dims)
+
+
+def test_size_warning_only_with_representatives(monkeypatch):
+    monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
+    c = unp_complex(3, 7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        betti(c, with_representatives=False)
+    assert not caught
+    with pytest.warns(RuntimeWarning, match=r"w \+ r = 6: matrix sides reach C\(6, d\)"):
+        betti(c)
+
+
+def test_unp6_complex_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = unp_complex(6, 17)
+    assert c.top_degree == 21
