@@ -11,9 +11,11 @@ pi^(-1)(S) of order p^(n' + dim S); without it the group is all of K with
 order p^(2n').  Always x^p = p x, so the elements of order dividing p are
 exactly p K and every one of them is central.
 
-Batch verification runs on int64 numpy arrays; the modulus is capped and the
-bracket's nonzero structure constants are counted so that every intermediate
-(including the bilinear bracket contraction) stays exact.
+Batch verification runs on int64 numpy arrays.  One product kernel,
+``PGroup._mult_rows``, serves every check: it sums c * x_i * y_j over the
+nonzero structure constants [b_i, b_j]_k = c only.  The modulus is capped and
+those constants are counted, so every intermediate stays exact.  Small groups
+are checked exhaustively against their Cayley table.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ __all__ = [
 ]
 
 # p^2 < 2^31 keeps every product of two residues mod p^2 inside exact int64.
-# The bracket contraction is bounded separately (_check_bracket_bound).
+# The bracket kernel's per-coordinate sums are bounded by _check_bracket_bound.
 _PGROUP_PRIME_CAP = 46337
 
 DEFAULT_BUDGET = 10 ** 6
@@ -47,11 +49,12 @@ ASSOC_EXHAUSTIVE_BUDGET = 10 ** 8
 
 
 def _check_bracket_bound(terms: int, p: int) -> None:
-    """Refuse a bracket contraction that could overflow int64.
+    """Refuse a bracket kernel that could overflow int64.
 
-    Each output coordinate k of the batched bracket sums one product of three
-    residues mod p per nonzero structure constant [b_i, b_j]_k, so the sum is
-    exact when terms * (p - 1)^3 < 2^63, where terms is the largest such count.
+    ``PGroup._mult_rows`` adds c * x_i * y_j into coordinate k once per nonzero
+    structure constant [b_i, b_j]_k = c, each a product of three residues mod
+    p, before it reduces.  That sum is exact when terms * (p - 1)^3 < 2^63,
+    where terms is the largest count of such constants in one coordinate.
     """
     if terms * (p - 1) ** 3 >= 1 << 63:
         raise ValueError(
@@ -201,9 +204,11 @@ class PGroup:
             )
         self.q = int(self.p) ** 2
         n = algebra.gen_count
-        self._table = np.mod(np.array(algebra.bracket, dtype=np.int64), self.p)
+        table = np.mod(np.array(algebra.bracket, dtype=np.int64).reshape(n, n, n), self.p)
         if n:
-            _check_bracket_bound(int(np.count_nonzero(self._table, axis=(0, 1)).max()), int(self.p))
+            _check_bracket_bound(int(np.count_nonzero(table, axis=(0, 1)).max()), int(self.p))
+        # The nonzero structure constants [b_i, b_j]_k = c as (i, j, k, c).
+        self._terms = [(i, j, k, int(table[i, j, k])) for i, j, k in np.argwhere(table).tolist()]
         if constraint is None:
             self._s_basis = np.eye(n, dtype=np.int64)
         else:
@@ -251,23 +256,18 @@ class PGroup:
     # -- group operations -------------------------------------------------
 
     def _mult_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched product of row arrays (broadcastable shapes)."""
+        """Batched product of row arrays (broadcastable shapes); the bracket
+        costs one multiply-add per nonzero structure constant."""
         ra = a % self.p
         rb = b % self.p
-        br = np.einsum("...i,...j,ijk->...k", ra, rb, self._table) % self.p
-        return ((a + b) % self.q + self.p * br) % self.q
-
-    def _mult_rows_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """All pairwise products of rows of a (m, n) and b (k, n) as (m, k, n).
-
-        The bracket is contracted against b first, so the heavy step is a
-        matrix product instead of a three-index loop over every pair.
-        """
-        ra = a % self.p
-        rb = b % self.p
-        tb = np.einsum("ijk,bj->bik", self._table, rb)
-        br = np.einsum("ai,bik->abk", ra, tb) % self.p
-        return ((a[:, None, :] + b[None, :, :]) % self.q + self.p * br) % self.q
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for i, j, k, c in self._terms:
+            out[..., k] += c * ra[..., i] * rb[..., j]
+        del ra, rb  # the sampled checks pass 10^5-row arrays; free these before reducing
+        out %= self.p
+        out *= self.p
+        out += a + b
+        return out % self.q
 
     def multiply(self, x: PGroupElement, y: PGroupElement) -> PGroupElement:
         rx, ry = self._row(x), self._row(y)
@@ -363,6 +363,12 @@ class PGroup:
         triples checked if order^3 <= 1e8 and at least ``triples`` seeded
         random triples otherwise.  mode "exhaustive" beyond the budget raises
         BudgetExceeded; mode "sampled" never enumerates.
+
+        All triples are checked on the Cayley table: the order^2 products are
+        computed once and looked up as base-p^2 codes (first coordinate most
+        significant, below q^n' <= order^2 <= 464^2) among the sorted codes of
+        the elements.  A product missing there fails closure, hence
+        associativity.  Identity, inverses and centrality are read off it too.
         """
         if mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -373,74 +379,68 @@ class PGroup:
                 f"order {self.order} exceeds the exhaustive budget {budget}; use sampled mode"
             )
         exhaustive = mode == "exhaustive" or (mode == "auto" and self.order <= budget)
+        assoc_exhaustive = exhaustive and self.order ** 3 <= ASSOC_EXHAUSTIVE_BUDGET
         rng = np.random.default_rng(seed)
         n = self.algebra.gen_count
         frat_log, comm_rank, exponent = self._subgroup_ranks()
         log_order = n + self.s_dim
+        E = self._enumerate_rows(budget) if exhaustive else None
 
-        if exhaustive:
-            E = self._enumerate_rows(budget)
+        if assoc_exhaustive:
+            weights = self.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+            codes = E @ weights  # increasing, since E is lexicographic
+            table = self._mult_rows(E[:, None, :], E[None, :, :]) @ weights
+            M = np.searchsorted(codes, table)  # M[x, y]: index of E[x] * E[y]
+            assoc_ok = np.array_equal(codes[np.minimum(M, len(E) - 1)], table)
+            for z in range(len(E)) if assoc_ok else ():
+                if not np.array_equal(M[:, z][M], M[:, M[:, z]]):  # (xy)z, x(yz)
+                    assoc_ok = False
+                    break
+            inverse = np.searchsorted(codes, ((-E) % self.q) @ weights)
+            ident_ok = (  # E[0] is the identity
+                np.array_equal(table[0], codes)
+                and np.array_equal(table[:, 0], codes)
+                and not table[np.arange(len(E)), inverse].any()
+            )
+            n_triples = self.order ** 3
+        else:
+            xs, ys, zs = (self._sample_rows(rng, triples) for _ in range(3))
+            assoc_ok = np.array_equal(
+                self._mult_rows(self._mult_rows(xs, ys), zs),
+                self._mult_rows(xs, self._mult_rows(ys, zs)),
+            )
+            rows = E if exhaustive else xs
             zero = np.zeros((1, n), dtype=np.int64)
             ident_ok = (
-                np.array_equal(self._mult_rows(E, zero), E)
-                and np.array_equal(self._mult_rows(zero, E), E)
-                and not self._mult_rows(E, (-E) % self.q).any()
+                np.array_equal(self._mult_rows(rows, zero), rows)
+                and np.array_equal(self._mult_rows(zero, rows), rows)
+                and not self._mult_rows(rows, (-rows) % self.q).any()
             )
-            if self.order ** 3 <= ASSOC_EXHAUSTIVE_BUDGET:
-                assoc_exhaustive = True
-                n_triples = self.order ** 3
-                P = self._mult_rows_outer(E, E).reshape(-1, n)
-                assoc_ok = True
-                for z in E:
-                    zrow = z.reshape(1, -1)
-                    yz = self._mult_rows_outer(E, zrow)[:, 0, :]
-                    lhs = self._mult_rows_outer(P, zrow)[:, 0, :]
-                    rhs = self._mult_rows_outer(E, yz).reshape(-1, n)
-                    if not np.array_equal(lhs, rhs):
-                        assoc_ok = False
-                        break
-            else:
-                assoc_exhaustive = False
-                n_triples = triples
-                xs, ys, zs = (self._sample_rows(rng, triples) for _ in range(3))
-                assoc_ok = np.array_equal(
-                    self._mult_rows(self._mult_rows(xs, ys), zs),
-                    self._mult_rows(xs, self._mult_rows(ys, zs)),
-                )
-            omega_mask = ~((self.p * E) % self.q).any(axis=1)
-            omega_count = int(omega_mask.sum())
+            n_triples = triples
+
+        if exhaustive:
+            omega = np.nonzero(~((self.p * E) % self.q).any(axis=1))[0]
             omega1_rank = 0
-            c = omega_count
+            c = len(omega)
             while c > 1:
                 if c % self.p:
                     raise AssertionError("count of order-p elements must be a p-power")
                 c //= int(self.p)
                 omega1_rank += 1
-            pc_ok = True
             pc_pairs = 0
-            for w in E[omega_mask]:
-                wrow = w.reshape(1, -1)
-                if not np.array_equal(self._mult_rows(wrow, E), self._mult_rows(E, wrow)):
-                    pc_ok = False
+            for w in omega:
+                if assoc_exhaustive:
+                    central = np.array_equal(table[w], table[:, w])
+                else:
+                    central = np.array_equal(self._mult_rows(E[w:w + 1], E), self._mult_rows(E, E[w:w + 1]))
+                if not central:
                     break
                 pc_pairs += len(E)
-            exponent_seen = self.q if (~omega_mask).any() else (int(self.p) if len(E) > 1 else 1)
+            pc_ok = pc_pairs == len(omega) * len(E)
+            exponent_seen = self.q if len(omega) < len(E) else (int(self.p) if len(E) > 1 else 1)
             assert exponent_seen == exponent
             report_mode = "exhaustive"
         else:
-            xs, ys, zs = (self._sample_rows(rng, triples) for _ in range(3))
-            assoc_exhaustive = False
-            n_triples = triples
-            assoc_ok = np.array_equal(
-                self._mult_rows(self._mult_rows(xs, ys), zs),
-                self._mult_rows(xs, self._mult_rows(ys, zs)),
-            )
-            zero = np.zeros((1, n), dtype=np.int64)
-            ident_ok = (
-                np.array_equal(self._mult_rows(xs, zero), xs)
-                and np.array_equal(self._mult_rows(zero, xs), xs)
-                and not self._mult_rows(xs, (-xs) % self.q).any()
-            )
             omegas = (self.p * self._sample_rows(rng, triples)) % self.q
             pc_ok = np.array_equal(self._mult_rows(omegas, ys), self._mult_rows(ys, omegas))
             pc_pairs = triples

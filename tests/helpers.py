@@ -8,6 +8,7 @@ import numpy as np
 from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, rref
+from frattini.pgroups import VerificationReport
 
 
 def random_quadratic(rng, w, p):
@@ -112,3 +113,71 @@ def reference_kernel_basis(m):
             v[c] = (-int(red.entries[k, f])) % m.p
         out.append(v)
     return out
+
+
+def _bracket_table(group):
+    return np.mod(np.array(group.algebra.bracket, dtype=np.int64), group.p)
+
+
+def reference_mult_rows(group, a, b):
+    """``PGroup._mult_rows`` as a dense einsum over all n'^3 structure constants."""
+    br = np.einsum("...i,...j,ijk->...k", a % group.p, b % group.p, _bracket_table(group)) % group.p
+    return ((a + b) % group.q + group.p * br) % group.q
+
+
+def reference_mult_rows_outer(group, a, b):
+    """All pairwise products of rows of a (m, n) and b (k, n) as (m, k, n)."""
+    tb = np.einsum("ijk,bj->bik", _bracket_table(group), b % group.p)
+    br = np.einsum("ai,bik->abk", a % group.p, tb) % group.p
+    return ((a[:, None, :] + b[None, :, :]) % group.q + group.p * br) % group.q
+
+
+def reference_exhaustive_report(group):
+    """``group.verify(mode="exhaustive")`` for order^3 <= 1e8, one z at a time.
+
+    For each z the products (x y) z and x (y z) are formed for all pairs
+    (x, y) and compared; order-p elements are checked one at a time against
+    every element.
+    """
+    p, q, n = int(group.p), group.q, group.algebra.gen_count
+    E = group._enumerate_rows(group.order)
+    zero = np.zeros((1, n), dtype=np.int64)
+    ident_ok = (
+        np.array_equal(reference_mult_rows(group, E, zero), E)
+        and np.array_equal(reference_mult_rows(group, zero, E), E)
+        and not reference_mult_rows(group, E, (-E) % q).any()
+    )
+    P = reference_mult_rows_outer(group, E, E).reshape(-1, n)
+    assoc_ok = True
+    for z in E:
+        zrow = z.reshape(1, -1)
+        yz = reference_mult_rows_outer(group, E, zrow)[:, 0, :]
+        lhs = reference_mult_rows_outer(group, P, zrow)[:, 0, :]
+        rhs = reference_mult_rows_outer(group, E, yz).reshape(-1, n)
+        if not np.array_equal(lhs, rhs):
+            assoc_ok = False
+            break
+    omegas = E[~((p * E) % q).any(axis=1)]
+    pc_ok, pc_pairs = True, 0
+    for w in omegas:
+        wrow = w.reshape(1, -1)
+        if not np.array_equal(reference_mult_rows(group, wrow, E), reference_mult_rows(group, E, wrow)):
+            pc_ok = False
+            break
+        pc_pairs += len(E)
+    frat_log, comm_rank, exponent = group._subgroup_ranks()
+    return VerificationReport(
+        group_order=group.order,
+        mode="exhaustive",
+        associativity_ok=assoc_ok,
+        associativity_exhaustive=True,
+        associativity_triples=group.order ** 3,
+        identity_inverse_ok=bool(ident_ok),
+        pc_ok=pc_ok,
+        pc_pairs=pc_pairs,
+        omega1_rank=next(r for r in range(n + 1) if p ** r == len(omegas)),
+        abelianization_rank=n + group.s_dim - frat_log,
+        commutator_rank=comm_rank,
+        exponent=exponent,
+        seed=0,
+    )

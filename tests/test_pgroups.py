@@ -1,7 +1,14 @@
+import contextlib
+import io
+import json
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from frattini import pgroups
+from frattini.cli import EXIT_DISAGREE, main
 from frattini.pgroups import (
     BudgetExceeded,
     ConstraintViolation,
@@ -11,6 +18,7 @@ from frattini.pgroups import (
     free_two_step,
     unp_group,
 )
+from helpers import reference_exhaustive_report, reference_mult_rows
 
 
 def test_free_two_step_shape():
@@ -202,3 +210,157 @@ def test_bracket_bound_enforced_at_construction(monkeypatch):
     monkeypatch.setattr(pgroups, "_check_bracket_bound", lambda terms, p: checked.append((terms, p)))
     PGroup(free_two_step(2), 5)  # [b_1, b_2] and [b_2, b_1] both land in the central coordinate
     assert checked == [(2, 5)]
+
+
+def _dense_group(gens, central, p, constrained):
+    """Dense random brackets of the non-central generators into the central ones,
+    with a random constraint on as many rows as there are non-central generators."""
+    rng = np.random.default_rng([gens, central, p])
+    free = gens - central
+    table = np.zeros((gens, gens, gens), dtype=np.int64)
+    for i, j in combinations(range(free), 2):
+        table[i, j, free:] = rng.integers(-2 * p, 2 * p, size=central)
+        table[j, i] = -table[i, j]
+    alg = TwoStepLieAlgebra(gens, table.tolist(), frozenset(range(free, gens)))
+    return PGroup(alg, p, constraint=rng.integers(0, p, size=(free, gens)) if constrained else None)
+
+
+_PRIMES = (3, 7, 46337)
+_KERNEL_CASES = (
+    [("free", n, p) for p in _PRIMES for n in range(1, 6)]
+    + [("U", n, p) for p in _PRIMES for n in range(1, 5)]
+    + [(kind, shape, p) for p in _PRIMES for shape in ((2, 1), (4, 2), (6, 3), (7, 2))
+       for kind in ("dense", "dense-S")]
+)
+
+
+@pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
+def test_mult_rows_matches_reference(kind, size, p):
+    if kind == "free":
+        g = PGroup(free_two_step(size), p)
+    elif kind == "U":
+        g = unp_group(size, p)
+    else:
+        g = _dense_group(*size, p, constrained=kind == "dense-S")
+    n = g.algebra.gen_count
+    rng = np.random.default_rng(p)
+    if g.constrained:
+        x, y = (g._sample_rows(rng, 40) for _ in range(2))
+    else:  # any rows of K
+        x, y = (rng.integers(0, g.q, size=(40, n)) for _ in range(2))
+    zero = np.zeros((1, n), dtype=np.int64)
+    for a, b in (
+        (x, y),  # sampled triples
+        (x, zero), (zero, x), (x, (-x) % g.q),  # identity and inverses
+        (x[:1], y), (y, x[:1]),  # one order-p candidate against all rows
+        (x[:, None, :], y[None, :, :]),  # Cayley table
+    ):
+        assert np.array_equal(g._mult_rows(a, b), reference_mult_rows(g, a, b)), (a.shape, b.shape)
+
+
+_ODD_PRIMES_TO_19 = (3, 5, 7, 11, 13, 17, 19)
+
+
+@pytest.mark.parametrize(
+    "which, n, p",
+    [("u", 1, p) for p in _ODD_PRIMES_TO_19] + [("g", 1, p) for p in _ODD_PRIMES_TO_19] + [("u", 2, 3)],
+)
+def test_table_report_matches_reference_loop(which, n, p):
+    g = unp_group(n, p) if which == "u" else PGroup(free_two_step(n), p)
+    assert g.order ** 3 <= pgroups.ASSOC_EXHAUSTIVE_BUDGET
+    assert g.verify(mode="exhaustive") == reference_exhaustive_report(g)
+
+
+_KERNEL = PGroup._mult_rows
+
+
+def _non_bilinear(self, a, b):
+    """Adds p x_0^2 y_1 to the last coordinate: no 2-cocycle, so not associative,
+    and x (-x) = -p x_0^2 x_1 in that coordinate, so -x is no inverse."""
+    out = _KERNEL(self, a, b)
+    out[..., -1] = (out[..., -1] + self.p * ((a[..., 0] % self.p) ** 2 * (b[..., 1] % self.p))) % self.q
+    return out
+
+
+def _leaves_subgroup(self, a, b):
+    """Adds 1 to the last coordinate, which U(n) constrains to p Z/p^2."""
+    out = _KERNEL(self, a, b)
+    out[..., -1] = (out[..., -1] + 1) % self.q
+    return out
+
+
+def _non_central(self, a, b):
+    """Adds p (x // p)_0 (y mod p)_0 to the first coordinate: w = (p, 0, ...) no longer commutes."""
+    out = _KERNEL(self, a, b)
+    out[..., 0] = (out[..., 0] + self.p * ((a[..., 0] // self.p) * (b[..., 0] % self.p))) % self.q
+    return out
+
+
+def _one_sided_identity(side):
+    """Adds p (x_0 + y_0) y_0 (side "left") or p (x_0 + y_0) x_0 (side "right")
+    to the first coordinate: x (-x) stays 0, but 0 stops being a left or right identity."""
+
+    def kernel(self, a, b):
+        out = _KERNEL(self, a, b)
+        f = (a[..., 0] + b[..., 0]) % self.p * ((b if side == "left" else a)[..., 0] % self.p)
+        out[..., 0] = (out[..., 0] + self.p * f) % self.q
+        return out
+
+    return kernel
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+def test_one_sided_identity_fails(monkeypatch, side, mode):
+    monkeypatch.setattr(PGroup, "_mult_rows", _one_sided_identity(side))
+    assert not unp_group(2, 3).verify(mode=mode).identity_inverse_ok
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+def test_non_bilinear_product_fails_associativity(monkeypatch, mode):
+    monkeypatch.setattr(PGroup, "_mult_rows", _non_bilinear)
+    rep = unp_group(2, 3).verify(mode=mode)
+    assert not rep.associativity_ok and not rep.identity_inverse_ok
+    assert rep.associativity_triples == (243 ** 3 if mode == "exhaustive" else pgroups.DEFAULT_TRIPLES)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["group", "-n", "2", "-p", "3", "--mode", mode, "--format", "json"])
+    assert code == EXIT_DISAGREE
+    assert not json.loads(out.getvalue())["verification"]["associativity_ok"]
+
+
+def test_product_leaving_the_subgroup_fails_closure(monkeypatch):
+    g = unp_group(2, 3)
+    # The ranks chain products through multiply(), which refuses operands off S.
+    ranks = g._subgroup_ranks()
+    monkeypatch.setattr(g, "_subgroup_ranks", lambda: ranks)
+    monkeypatch.setattr(PGroup, "_mult_rows", _leaves_subgroup)
+    rep = g.verify(mode="exhaustive")  # (8, 8, 6) * 1 = (8, 8, 7) sorts past every element
+    assert not rep.associativity_ok
+    assert rep.associativity_exhaustive and rep.associativity_triples == 243 ** 3
+
+
+@pytest.mark.parametrize(
+    "n, p, mode, pairs",
+    [
+        (2, 3, "exhaustive", 3 ** 2 * 243),  # Cayley table; (3, 0, 0) is the 10th order-p element
+        (2, 5, "exhaustive", 5 ** 2 * 3125),  # order^3 > 1e8: per-element loop, (5, 0, 0) is the 26th
+        (2, 3, "sampled", pgroups.DEFAULT_TRIPLES),
+    ],
+)
+def test_non_central_order_p_product_fails(monkeypatch, n, p, mode, pairs):
+    monkeypatch.setattr(PGroup, "_mult_rows", _non_central)
+    rep = unp_group(n, p).verify(mode=mode)
+    assert not rep.pc_ok
+    assert rep.pc_pairs == pairs
+
+
+def test_sampled_verify_memory():
+    g = unp_group(4, 7)
+    tracemalloc.start()
+    try:
+        g.verify(mode="sampled", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * 2 ** 20, f"tracemalloc peak {peak / 2 ** 20:.1f} MiB"
