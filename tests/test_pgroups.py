@@ -343,8 +343,8 @@ def test_product_leaving_the_subgroup_fails_closure(monkeypatch):
 @pytest.mark.parametrize(
     "n, p, mode, pairs",
     [
-        (2, 3, "exhaustive", 3 ** 2 * 243),  # Cayley table; (3, 0, 0) is the 10th order-p element
-        (2, 5, "exhaustive", 5 ** 2 * 3125),  # order^3 > 1e8: per-element loop, (5, 0, 0) is the 26th
+        (2, 3, "exhaustive", 3 ** 2 * 243),  # (3, 0, 0) is the 10th order-p element
+        (2, 5, "exhaustive", 5 ** 2 * 3125),  # order^3 > 1e8; (5, 0, 0) is the 26th
         (2, 3, "sampled", pgroups.DEFAULT_TRIPLES),
     ],
 )
