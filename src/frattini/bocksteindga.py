@@ -8,6 +8,16 @@ z_(i,j).  The Bockstein acts by
     beta(z_k) = 0                  beta(z_(i,j)) = z_i x_j - z_j x_i
 
 extended as a graded derivation: beta(uv) = beta(u) v + (-1)^|u| u beta(v).
+On a monomial x_S z^E (exterior factors in ascending order, then the
+polynomial ones) this is one Leibniz pass with two closed-form rules:
+
+  (a) the k-th exterior factor x_g of S (k from 0), for g = (i, j), gives
+      -(-1)^k x_i x_j x_(S minus g) z^E; beta(x_g) has even degree, so moving
+      it into place costs only the merge sign, and the term vanishes when
+      x_i or x_j is already in S;
+  (b) each z_g with g = (i, j) and exponent e > 0 gives
+      (-1)^|S| e (x_S x_j z^(E - g + i) - x_S x_i z^(E - g + j)), a summand
+      vanishing when its x is already in S.
 
 Restriction to the universal subgroup kills every x_(i,j) and every product
 x_i x_j, and renames z to s in printed output; the Bockstein descends since
@@ -202,24 +212,6 @@ def format_bigraded(elem: BigradedElement) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _beta_ext_gen(amb: Generators, g: int) -> dict:
-    if g < amb.n:
-        return {}
-    i, j = amb.pairs[g - amb.n]
-    return {((1 << (i - 1)) | (1 << (j - 1)), amb._zero_exps()): -1}
-
-
-def _beta_pol_gen(amb: Generators, g: int) -> dict:
-    if g < amb.n:
-        return {}
-    i, j = amb.pairs[g - amb.n]
-    ei = list(amb._zero_exps())
-    ei[i - 1] = 1
-    ej = list(amb._zero_exps())
-    ej[j - 1] = 1
-    return {(1 << (j - 1), tuple(ei)): 1, (1 << (i - 1), tuple(ej)): -1}
-
-
 def _mul_term_dicts(d1: dict, d2: dict) -> dict:
     out: dict = {}
     for (m1, e1), c1 in d1.items():
@@ -231,32 +223,36 @@ def _mul_term_dicts(d1: dict, d2: dict) -> dict:
     return out
 
 
-def _acc(into: dict, d: dict, scale: int = 1) -> None:
-    for k, c in d.items():
-        into[k] = into.get(k, 0) + scale * c
-
-
-def _beta_term(amb: Generators, mask: int, exps: tuple[int, ...]) -> dict:
-    """Derivation recursion: split off the lowest factor and apply Leibniz."""
-    if mask:
-        low = mask & -mask
+def _add_beta_term(out: dict, amb: Generators, mask: int, exps: tuple[int, ...], c: int) -> None:
+    """Add c * beta(x_S z^E) into out by rules (a) and (b) of the module docstring."""
+    n, pairs = amb.n, amb.pairs
+    rest, k = mask, 0
+    while rest:
+        low = rest & -rest
         g = low.bit_length() - 1
-        rest = {(mask ^ low, exps): 1}
-        out = _mul_term_dicts(_beta_ext_gen(amb, g), rest)
-        # x_g has odd degree, so the second Leibniz summand picks up a sign
-        _acc(out, _mul_term_dicts({(low, amb._zero_exps()): 1}, _beta_term(amb, mask ^ low, exps)), -1)
-        return out
-    g = next((k for k, e in enumerate(exps) if e), None)
-    if g is None:
-        return {}
-    lowered = list(exps)
-    lowered[g] -= 1
-    rest = {(0, tuple(lowered)): 1}
-    out = _mul_term_dicts(_beta_pol_gen(amb, g), rest)
-    single = list(amb._zero_exps())
-    single[g] = 1
-    _acc(out, _mul_term_dicts({(0, tuple(single)): 1}, _beta_term(amb, 0, tuple(lowered))))
-    return out
+        if g >= n:
+            i, j = pairs[g - n]
+            xij, others = (1 << (i - 1)) | (1 << (j - 1)), mask ^ low
+            if not xij & others:
+                key = (xij | others, exps)
+                out[key] = out.get(key, 0) + (c if k % 2 else -c) * _merge_sign(xij, others)
+        rest ^= low
+        k += 1
+    c_s = -c if k % 2 else c  # (-1)^|S| c
+    for g in range(n, amb.count):
+        e = exps[g]
+        if not e:
+            continue
+        i, j = pairs[g - n]
+        for x, z, coeff in ((j, i, e), (i, j, -e)):
+            xbit = 1 << (x - 1)
+            if mask & xbit:
+                continue
+            raised = list(exps)
+            raised[g] -= 1
+            raised[z - 1] += 1
+            key = (mask | xbit, tuple(raised))
+            out[key] = out.get(key, 0) + coeff * c_s * _merge_sign(mask, xbit)
 
 
 def bockstein(a: BigradedElement, p=None) -> BigradedElement:
@@ -267,7 +263,7 @@ def bockstein(a: BigradedElement, p=None) -> BigradedElement:
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
     out: dict = {}
     for (mask, exps), c in a._terms.items():
-        _acc(out, _beta_term(a.ambient, mask, exps), c)
+        _add_beta_term(out, a.ambient, mask, exps, c)
     return BigradedElement(a.ambient, out)
 
 
@@ -294,6 +290,7 @@ class BocksteinReport:
 
 
 def _monomials_up_to(amb: Generators, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Monomials of degree <= d, by ascending exterior mask, then exponent vector."""
     out = []
     count = amb.count
 
@@ -305,11 +302,11 @@ def _monomials_up_to(amb: Generators, d: int) -> list[tuple[int, tuple[int, ...]
             for rest in exp_vectors(budget - first, length - 1):
                 yield (first,) + rest
 
-    for mask in range(1 << count):
-        ext_deg = mask.bit_count()
-        if ext_deg > d:
-            continue
-        for exps in exp_vectors((d - ext_deg) // 2, count):
+    masks = sorted(
+        sum(1 << g for g in gens) for k in range(min(d, count) + 1) for gens in combinations(range(count), k)
+    )
+    for mask in masks:
+        for exps in exp_vectors((d - mask.bit_count()) // 2, count):
             out.append((mask, exps))
     return out
 

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Any
@@ -447,12 +446,9 @@ def run_crosscheck(spec: JobSpec) -> tuple[dict, int]:
     primes = [(_prime(p)) for p in params["primes"]]
     if not primes:
         raise CliError(EXIT_BAD_INPUT, "need at least one prime")
-    workers = params.get("workers") or 1
     oracles = {n: younghook.unp_betti(n) for n in range(1, n_max + 1)}
-    jobs = [(n, p) for n in range(1, n_max + 1) for p in primes]
 
-    def cell(job):
-        n, p = job
+    def cell(n, p):
         cx = koszul.unp_complex(n, p)
         dims = list(koszul.betti(cx, with_representatives=False).dims)
         agree = dims == list(oracles[n])
@@ -465,11 +461,7 @@ def run_crosscheck(spec: JobSpec) -> tuple[dict, int]:
             "within_guarantee": p > comb(n, 2) + 1,
         }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, jobs))
-    else:
-        rows = [cell(job) for job in jobs]
+    rows = [cell(n, p) for n in range(1, n_max + 1) for p in primes]
 
     failures = [row for row in rows if row["within_guarantee"] and not row["agree"]]
     report = {
@@ -646,12 +638,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, seed=True, workers=None, truncate=False):
+    def common(sp, *, seed=True, truncate=False):
         sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
         if seed:
             sp.add_argument("--seed", type=int, default=0, help="seed for any randomized checks")
-        if workers:
-            sp.add_argument("--workers", type=int, default=os.cpu_count(), help=workers + " (default: processor count)")
         if truncate:
             sp.add_argument(
                 "--truncate", type=int, default=None, help="series truncation degree (default: 2(w+r))"
@@ -706,7 +696,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("crosscheck", help="Koszul-vs-oracle agreement over a range of n and p")
     sp.add_argument("--n-max", type=int, default=3, help="largest n (1..5)")
     sp.add_argument("--primes", default="7,11,101", help="comma-separated odd primes")
-    common(sp, seed=False, workers="worker threads, one (n, p) cell each; cells compute ranks only")
+    common(sp, seed=False)
 
     return parser
 
@@ -739,11 +729,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     elif args.command == "series":
         params = {"numerator": _int_list(args.numerator, "numerator"), "w": args.w, "r": args.r}
     elif args.command == "crosscheck":
-        params = {
-            "n_max": args.n_max,
-            "primes": _int_list(args.primes, "primes"),
-            "workers": args.workers,
-        }
+        params = {"n_max": args.n_max, "primes": _int_list(args.primes, "primes")}
     return JobSpec(
         command=args.command,
         parameters=params,

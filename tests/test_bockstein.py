@@ -1,15 +1,22 @@
+import inspect
+from itertools import product
+
 import pytest
 
+from frattini import bocksteindga
 from frattini.bocksteindga import (
     BigradedElement,
     Generators,
     PrimeTooSmall,
+    _add_beta_term,
+    _monomials_up_to,
     bockstein,
     format_bigraded,
     restrict_to_unp,
     verify_differential,
 )
 from frattini.extalg import AmbientMismatch
+from helpers import reference_beta_term
 
 G = Generators(3, 5)
 
@@ -159,3 +166,83 @@ def test_mixed_generator_sets_raise_ambient_mismatch():
         with pytest.raises(AmbientMismatch):
             op(G.x(1), other.x(1))
     assert G.x(1) != other.x(1)
+
+
+# Every monomial of degree <= 6 for n = 3 and <= 5 for n = 4: exterior pairs in
+# every position, and z-pair exponents up to 3 next to odd and even |S|.
+CORPUS = [(3, 5, 6), (4, 7, 5)]
+
+
+def _corpus_disagreements(kernel, amb, max_degree):
+    """Monomials of degree <= max_degree on which kernel and the recursion differ mod p."""
+    bad = 0
+    for mono in _monomials_up_to(Generators(amb.n, amb.p), max_degree):
+        got: dict = {}
+        kernel(got, amb, *mono, 1)
+        if BigradedElement(amb, got) != BigradedElement(amb, reference_beta_term(amb, *mono)):
+            bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("n, p, max_degree", CORPUS)
+def test_leibniz_pass_matches_recursion(n, p, max_degree, restricted):
+    amb = Generators(n, p, restricted=restricted)
+    assert _corpus_disagreements(_add_beta_term, amb, max_degree) == 0
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_bockstein_matches_recursion_on_sums(restricted):
+    """Whole elements, killed terms included: the constructor drops them on both sides."""
+    amb = Generators(3, 5, restricted=restricted)
+    monos = _monomials_up_to(Generators(3, 5), 5)
+    for start in range(0, len(monos), 7):
+        terms = {m: 1 + (start + k) % 4 for k, m in enumerate(monos[start:start + 7])}
+        expected: dict = {}
+        for mono, c in terms.items():
+            for key, v in reference_beta_term(amb, *mono).items():
+                expected[key] = expected.get(key, 0) + c * v
+        assert bockstein(BigradedElement(amb, terms)) == BigradedElement(amb, expected)
+
+
+def _mutant(old, new):
+    """A copy of the Leibniz kernel with one source fragment replaced."""
+    source = inspect.getsource(_add_beta_term)
+    assert source.count(old) == 1, f"mutation target {old!r} not found"
+    namespace = dict(vars(bocksteindga))
+    exec(source.replace(old, new), namespace)
+    return namespace["_add_beta_term"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("((j, i, e), (i, j, -e))", "((j, i, 1), (i, j, -1))"),  # drop the exponent factor e
+        ("c_s = -c if k % 2 else c", "c_s = c"),  # drop the (-1)^|S| sign
+    ],
+)
+@pytest.mark.parametrize("n, p, max_degree", CORPUS)
+def test_corpus_catches_mutants(n, p, max_degree, old, new):
+    assert _corpus_disagreements(_mutant(old, new), Generators(n, p), max_degree) > 0
+
+
+def test_monomials_in_mask_scan_order():
+    """Ascending exterior masks, then exponent vectors: the order the seeded
+    Leibniz sampling draws from."""
+    amb = Generators(3, 5)
+    for d in range(6):
+        scan = [
+            (mask, exps)
+            for mask in range(1 << amb.count)
+            if mask.bit_count() <= d
+            for exps in sorted(product(range(d + 1), repeat=amb.count))
+            if 2 * sum(exps) <= d - mask.bit_count()
+        ]
+        assert _monomials_up_to(amb, d) == scan
+
+
+def test_sweep_cost_follows_monomials_not_masks():
+    rep = verify_differential(8, 11, 2, leibniz_pairs=20)
+    assert rep.monomials_checked == 703
+    assert rep.beta_squared_violations == 0
+    assert rep.leibniz_violations == 0

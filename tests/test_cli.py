@@ -396,7 +396,13 @@ def test_out_of_range_counts_exit_3(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["unp"], ["unp", "-n", "2", "--bogus"], ["nosuchcommand"], ["bockstein", "-n", "x", "-p", "5"]],
+    [
+        ["unp"],
+        ["unp", "-n", "2", "--bogus"],
+        ["nosuchcommand"],
+        ["bockstein", "-n", "x", "-p", "5"],
+        ["crosscheck", "--workers", "2"],
+    ],
 )
 def test_usage_errors_exit_3_not_2(argv):
     err = io.StringIO()

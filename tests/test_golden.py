@@ -13,7 +13,11 @@ that the group guards:
   blocks (the last one includes p = 7, outside the n = 5 guarantee);
 * ``koszul_generic_w6_r4_pmax_full_json.out`` and
   ``koszul_dependent_w5_r4_p5_force_full_json.out``: at commit 3196726, before
-  quotient representatives were computed by one batched elimination per degree.
+  quotient representatives were computed by one batched elimination per degree;
+* ``bockstein_n4_p7_d7_json.out``: at commit 7b4cd54, before the Bockstein was
+  computed by one Leibniz pass over the factors of each monomial (the bench
+  job: the beta^2 = 0 sweep up to degree 7, z-exponents up to 3, and 200
+  seeded Leibniz pairs).
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
@@ -61,6 +65,10 @@ CLI_CASES = {
     ],
     "koszul_dependent_w5_r4_p5_force_full_json": [
         "koszul", "{inputs}/dependent_w5_r4_p5.json", "--force", "--full", "--format", "json",
+    ],
+    "bockstein_n4_p7_d7_json": [
+        "bockstein", "-n", "4", "-p", "7", "--max-degree", "7", "--pairs", "200", "--seed", "0",
+        "--format", "json",
     ],
 }
 
