@@ -17,7 +17,12 @@ that the group guards:
 * ``bockstein_n4_p7_d7_json.out``: at commit 7b4cd54, before the Bockstein was
   computed by one Leibniz pass over the factors of each monomial (the bench
   job: the beta^2 = 0 sweep up to degree 7, z-exponents up to 3, and 200
-  seeded Leibniz pairs).
+  seeded Leibniz pairs);
+* ``koszul_monomial_w5_r7_p7_full_json.out`` and ``cup_products_unp3.txt``: at
+  commit c479c70, before representatives and cup products were computed on the
+  graded blocks of each degree.  Both use the Z^w multidegree grading (every
+  quadratic a single monomial); every earlier representative golden uses the
+  weight grading.
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
@@ -36,7 +41,7 @@ from pathlib import Path
 
 import pytest
 
-from frattini import Ambient, KoszulComplex, betti, cup, parse
+from frattini import Ambient, KoszulComplex, betti, cup, parse, unp_complex
 from frattini.bocksteindga import Generators, bockstein, restrict_to_unp
 from frattini.cli import main
 from frattini.extalg import QuadraticForm
@@ -70,6 +75,10 @@ CLI_CASES = {
         "bockstein", "-n", "4", "-p", "7", "--max-degree", "7", "--pairs", "200", "--seed", "0",
         "--format", "json",
     ],
+    "koszul_monomial_w5_r7_p7_full_json": [
+        "koszul", "-w", "5", "-p", "7", "-q", "e1^e2", "-q", "3 e2^e3", "-q", "e3^e4", "-q", "2 e4^e5",
+        "-q", "e1^e5", "-q", "5 e1^e3", "-q", "e2^e4", "--full", "--format", "json",
+    ],
 }
 
 
@@ -87,6 +96,13 @@ def _cup_products() -> bytes:
     table = betti(KoszulComplex(4, 7, quads))
     ones = table.classes(1)
     lines = [f"{a} * {b} = {cup(a, b)}" for a in ones for b in ones]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _cup_products_unp3() -> bytes:
+    """Every degree-1 class of U(3) at p = 7 times every class of degree 1, 2 and 3."""
+    table = betti(unp_complex(3, 7))
+    lines = [f"{a} * {b} = {cup(a, b)}" for a in table.classes(1) for d in (1, 2, 3) for b in table.classes(d)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -108,6 +124,7 @@ def _element_texts() -> bytes:
 def _expected():
     cases = {f"{name}.out": (lambda argv=argv: _run_cli(argv)) for name, argv in CLI_CASES.items()}
     cases["cup_products.txt"] = _cup_products
+    cases["cup_products_unp3.txt"] = _cup_products_unp3
     cases["element_texts.txt"] = _element_texts
     return cases
 
