@@ -29,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from random import Random
 from typing import Iterator, Mapping
 
 from .extalg import _merge_sign, _TermMap
 from .fplin import Prime, as_prime
+from .pgroups import BudgetExceeded
 
 __all__ = [
     "Generators",
@@ -44,6 +46,10 @@ __all__ = [
     "restrict_to_unp",
     "verify_differential",
 ]
+
+
+# verify_differential holds every monomial it checks in one list.
+SWEEP_BUDGET = 10**6
 
 
 class PrimeTooSmall(ValueError):
@@ -315,7 +321,12 @@ def verify_differential(
     n: int, p, max_degree: int, *, leibniz_pairs: int = 100, seed: int = 0
 ) -> BocksteinReport:
     """Exhaustively check beta(beta(m)) = 0 on monomials of degree <= max_degree,
-    plus the Leibniz rule on seeded random homogeneous pairs."""
+    plus the Leibniz rule on seeded random homogeneous pairs.
+
+    Raises BudgetExceeded, before building any monomial, when there are more
+    than SWEEP_BUDGET of them: sum over k of C(N, k) C((d - k) // 2 + N, N)
+    with N = n + C(n, 2) generators in each block and d = max_degree.
+    """
     p = as_prime(p)
     if p <= 3:
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
@@ -323,6 +334,10 @@ def verify_differential(
         if value < 0:
             raise ValueError(f"{name} = {value} must be nonnegative")
     amb = Generators(n, p)
+    count = amb.count
+    total = sum(comb(count, k) * comb((max_degree - k) // 2 + count, count) for k in range(min(max_degree, count) + 1))
+    if total > SWEEP_BUDGET:
+        raise BudgetExceeded(f"{total} monomials of degree <= {max_degree} exceed the sweep budget {SWEEP_BUDGET}")
     monos = _monomials_up_to(amb, max_degree)
     bad_square = 0
     for mask, exps in monos:

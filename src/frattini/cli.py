@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 a verification disagreed where agreement is
 guaranteed; 2 Bockstein block not contained in the input subspace; 3 invalid
-input; 4 a resource limit was hit: the enumeration budget (retry with
---mode sampled) or the available memory (MemoryError, "error: out of memory").
+input; 4 a resource limit was hit: the group enumeration budget (retry with
+--mode sampled), the Bockstein sweep budget (lower --max-degree) or the
+available memory (MemoryError, "error: out of memory").
 
 Machine-readable output (--format json) is byte-identical for identical
 arguments and seed.  The only environment variable consulted is NO_COLOR.
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
 from math import comb
 from typing import Any
 
@@ -33,7 +33,6 @@ from .extalg import Ambient, ExtElement, ParseError, QuadraticForm, parse
 from .fplin import Prime, as_prime
 
 __all__ = [
-    "JobSpec",
     "main",
     "run_bockstein",
     "run_crosscheck",
@@ -56,23 +55,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """A validated unit of work: one subcommand plus its parameters."""
-
-    command: str
-    parameters: dict[str, Any]
-    output_format: str = "text"
-    seed: int = 0
-    truncation: int | None = None
-
-    def __post_init__(self):
-        if self.command not in ("koszul", "unp", "group", "bockstein", "series", "crosscheck"):
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def _prime(value) -> Prime:
@@ -112,11 +94,11 @@ def _quadratic_from_triples(triples, w: int, p: Prime) -> ExtElement:
     return ExtElement(amb, terms)
 
 
-def _load_koszul_input(params: dict) -> tuple[int, Prime, object]:
+def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
     """Returns (w, p, payload) where payload is a list of quadratics or a KInvariantSubspace."""
-    path = params.get("input")
+    path = args.input
     if path is not None:
-        if params.get("quadratics") or params.get("w") or params.get("p"):
+        if args.quadratic or args.w or args.p:
             raise CliError(EXIT_BAD_INPUT, "give either an input file or inline -w/-p/--quadratic, not both")
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -160,9 +142,8 @@ def _load_koszul_input(params: dict) -> tuple[int, Prime, object]:
             raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
         return w, p, k
 
-    w = params.get("w")
-    p = params.get("p")
-    exprs = params.get("quadratics") or []
+    w, p = args.w, args.p
+    exprs = args.quadratic or []
     if w is None or p is None:
         raise CliError(EXIT_BAD_INPUT, "inline mode needs -w and -p (or pass an input file)")
     p = _prime(p)
@@ -255,18 +236,17 @@ def _complex_report(
     return report
 
 
-def run_koszul(spec: JobSpec) -> tuple[dict, int]:
-    params = spec.parameters
-    if (params.get("max_reps") or 0) < 0:
+def run_koszul(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.max_reps < 0:
         raise CliError(EXIT_BAD_INPUT, "--max-reps must be nonnegative")
-    w, p, payload = _load_koszul_input(params)
+    w, p, payload = _load_koszul_input(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             if isinstance(payload, koszul.KInvariantSubspace):
-                cx = koszul.canonicalize(payload, force=params.get("force", False))
+                cx = koszul.canonicalize(payload, force=args.force)
             else:
-                cx = koszul.KoszulComplex(w, p, payload, force=params.get("force", False))
+                cx = koszul.KoszulComplex(w, p, payload, force=args.force)
         except koszul.BocksteinNotContained as exc:
             raise CliError(EXIT_NOT_CONTAINED, str(exc)) from exc
         except (koszul.DegenerateSubspace, koszul.DependentQuadratics, ValueError) as exc:
@@ -274,8 +254,8 @@ def run_koszul(spec: JobSpec) -> tuple[dict, int]:
         report = _complex_report(
             cx,
             caught,
-            truncation=spec.truncation,
-            max_reps=None if params.get("full") else params.get("max_reps", 10),
+            truncation=args.truncate,
+            max_reps=None if args.full else args.max_reps,
             with_representatives=True,
         )
     report["command"] = "koszul"
@@ -284,21 +264,20 @@ def run_koszul(spec: JobSpec) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def run_unp(spec: JobSpec) -> tuple[dict, int]:
-    params = spec.parameters
-    n = params["n"]
+def run_unp(args: argparse.Namespace) -> tuple[dict, int]:
+    n = args.n
     if n < 1:
         raise CliError(EXIT_BAD_INPUT, "n must be at least 1")
     if n > 6:
         raise CliError(EXIT_BAD_INPUT, f"n = {n}: the complex has 2^{n + comb(n, 2)} monomials; capped at n <= 6")
-    p = _prime(params["p"]) if params.get("p") is not None else _least_odd_prime_above(comb(n, 2) + 1)
+    p = _prime(args.p) if args.p is not None else _least_odd_prime_above(comb(n, 2) + 1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cx = koszul.unp_complex(n, p)
         report = _complex_report(
             cx,
             caught,
-            truncation=spec.truncation,
+            truncation=args.truncate,
             max_reps=None,
             with_representatives=False,
         )
@@ -324,13 +303,12 @@ def run_unp(spec: JobSpec) -> tuple[dict, int]:
     return report, code
 
 
-def run_group(spec: JobSpec) -> tuple[dict, int]:
-    params = spec.parameters
-    n = params["n"]
+def run_group(args: argparse.Namespace) -> tuple[dict, int]:
+    n = args.n
     if n < 1:
         raise CliError(EXIT_BAD_INPUT, "n must be at least 1")
-    p = _prime(params["p"])
-    which = params.get("group", "u")
+    p = _prime(args.p)
+    which = args.group
     try:
         if which == "u":
             group = pgroups.unp_group(n, p)
@@ -340,10 +318,7 @@ def run_group(spec: JobSpec) -> tuple[dict, int]:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     try:
         result = group.verify(
-            mode=params.get("mode", "auto"),
-            budget=params.get("budget", pgroups.DEFAULT_BUDGET),
-            triples=params.get("triples", pgroups.DEFAULT_TRIPLES),
-            seed=spec.seed,
+            mode=args.mode, budget=args.budget, triples=args.triples, seed=args.seed
         )
     except pgroups.BudgetExceeded as exc:
         raise CliError(EXIT_BUDGET, f"{exc} (retry with --mode sampled)") from exc
@@ -376,12 +351,9 @@ def run_group(spec: JobSpec) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_DISAGREE
 
 
-def run_bockstein(spec: JobSpec) -> tuple[dict, int]:
-    params = spec.parameters
-    n = params["n"]
-    p = _prime(params["p"])
-    max_degree = params.get("max_degree", 6)
-    pairs = params.get("pairs", 100)
+def run_bockstein(args: argparse.Namespace) -> tuple[dict, int]:
+    n, max_degree = args.n, args.max_degree
+    p = _prime(args.p)
     try:
         gens = bocksteindga.Generators(n, p)
         formulas = []
@@ -402,11 +374,11 @@ def run_bockstein(spec: JobSpec) -> tuple[dict, int]:
                     "restricted_image": str(bocksteindga.restrict_to_unp(img)),
                 }
             )
-        result = bocksteindga.verify_differential(
-            n, p, max_degree, leibniz_pairs=pairs, seed=spec.seed
-        )
+        result = bocksteindga.verify_differential(n, p, max_degree, leibniz_pairs=args.pairs, seed=args.seed)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    except pgroups.BudgetExceeded as exc:
+        raise CliError(EXIT_BUDGET, f"{exc} (lower --max-degree)") from exc
     report = {
         "command": "bockstein",
         "n": n,
@@ -425,25 +397,25 @@ def run_bockstein(spec: JobSpec) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_DISAGREE
 
 
-def run_series(spec: JobSpec) -> tuple[dict, int]:
-    params = spec.parameters
-    w, r = params["w"], params["r"]
+def run_series(args: argparse.Namespace) -> tuple[dict, int]:
+    numerator = _int_list(args.numerator, "numerator")
+    w, r = args.w, args.r
     if w < 0 or r < 0:
         raise CliError(EXIT_BAD_INPUT, "w and r must be nonnegative")
     try:
-        q = series.PoincarePolynomial(tuple(params["numerator"]))
+        q = series.PoincarePolynomial(tuple(numerator))
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-    report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, spec.truncation)}
+    report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, args.truncate)}
     return report, EXIT_OK
 
 
-def run_crosscheck(spec: JobSpec) -> tuple[dict, int]:
-    params = spec.parameters
-    n_max = params["n_max"]
+def run_crosscheck(args: argparse.Namespace) -> tuple[dict, int]:
+    given = _int_list(args.primes, "primes")
+    n_max = args.n_max
     if not 1 <= n_max <= 5:
         raise CliError(EXIT_BAD_INPUT, "n_max must be between 1 and 5 (the complex has 2^(n + C(n,2)) monomials)")
-    primes = [(_prime(p)) for p in params["primes"]]
+    primes = [(_prime(p)) for p in given]
     if not primes:
         raise CliError(EXIT_BAD_INPUT, "need at least one prime")
     oracles = {n: younghook.unp_betti(n) for n in range(1, n_max + 1)}
@@ -701,44 +673,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    params: dict[str, Any] = {}
-    if args.command == "koszul":
-        params = {
-            "input": args.input,
-            "w": args.w,
-            "p": args.p,
-            "quadratics": args.quadratic,
-            "force": args.force,
-            "max_reps": args.max_reps,
-            "full": args.full,
-        }
-    elif args.command == "unp":
-        params = {"n": args.n, "p": args.p}
-    elif args.command == "group":
-        params = {
-            "n": args.n,
-            "p": args.p,
-            "group": args.group,
-            "mode": args.mode,
-            "budget": args.budget,
-            "triples": args.triples,
-        }
-    elif args.command == "bockstein":
-        params = {"n": args.n, "p": args.p, "max_degree": args.max_degree, "pairs": args.pairs}
-    elif args.command == "series":
-        params = {"numerator": _int_list(args.numerator, "numerator"), "w": args.w, "r": args.r}
-    elif args.command == "crosscheck":
-        params = {"n_max": args.n_max, "primes": _int_list(args.primes, "primes")}
-    return JobSpec(
-        command=args.command,
-        parameters=params,
-        output_format=args.format,
-        seed=getattr(args, "seed", 0),
-        truncation=getattr(args, "truncate", None),
-    )
-
-
 _RUNNERS = {
     "koszul": run_koszul,
     "unp": run_unp,
@@ -750,18 +684,16 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        spec = _job_from_args(args)
-        report, code = _RUNNERS[spec.command](spec)
+        report, code = _RUNNERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except MemoryError as exc:
-        print(f"error: out of memory ({exc or 'allocation failed'}); try a smaller input", file=sys.stderr)
+        print(f"error: out of memory ({str(exc) or 'allocation failed'}); try a smaller input", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(report, spec.output_format)
+    _emit(report, args.format)
     return code
 
 

@@ -229,6 +229,11 @@ def quotient_representatives(cycles, boundaries, p) -> list[np.ndarray]:
     in one batched pass; one forward pass over them then clears each
     representative's lead column from the cycles after it.
     """
+    return [rep for _, rep in _quotient_pairs(cycles, boundaries, p)]
+
+
+def _quotient_pairs(cycles, boundaries, p) -> list[tuple[int, np.ndarray]]:
+    """``quotient_representatives``, each vector paired with the index of its cycle."""
     p = as_prime(p)
     cyc_rows = [np.asarray(v, dtype=np.int64) for v in cycles]
     rows = cyc_rows + [np.asarray(v, dtype=np.int64) for v in boundaries]
@@ -245,13 +250,13 @@ def quotient_representatives(cycles, boundaries, p) -> list[np.ndarray]:
     cyc_echelon, cyc_pivots = _echelon(cyc, p, reduced=False)
     bnd_rref, bnd_pivots = _echelon(bnd, p, reduced=True)
     w = _reduce_rows(cyc, bnd_rref, bnd_pivots, p)
-    reps: list[np.ndarray] = []
+    reps: list[tuple[int, np.ndarray]] = []
     for i in range(k):
         nz = np.nonzero(w[i])[0]
         if nz.size == 0:
             continue
         rep = w[i].copy()
-        reps.append(rep)
+        reps.append((i, rep))
         c = int(nz[0])
         below = i + 1 + np.nonzero(w[i + 1:, c])[0]
         if below.size:

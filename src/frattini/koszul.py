@@ -12,8 +12,11 @@ representatives are canonical, so repeated runs agree byte for byte.
 d preserves a grading of the basis, so each degree's matrix is block-diagonal:
 the internal weight |S| + 2|T| of e_S x_T always, and the finer Z^w
 multidegree (e_i -> eps_i, x_t -> eps_a + eps_b) when every quadratic q_t is a
-single monomial c e_a e_b, as for ``unp_complex``.  Ranks-only Betti numbers
-are summed over these blocks; representatives use each degree's full matrix.
+single monomial c e_a e_b, as for ``unp_complex``.  Betti numbers, the
+representatives and the reduction of cocycles to classes all work one grade
+block at a time; no full-degree matrix is built.  The RREF of a block-diagonal
+matrix is the union of the block RREFs, so this gives the same bytes as the
+full matrices would.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class KoszulComplex:
     Quadratics are rejected when linearly dependent unless force=True, in
     which case homology is still computed but the usual degree-1 dimension
     guarantee is off.  Sizes are capped at w + r <= 22; ``betti`` warns above
-    16 when it builds full-degree matrices, whose sides reach C(w+r, d).
+    16 when it computes representatives, as the degree bases reach C(w+r, d)
+    keys.
     """
 
     __slots__ = ("w", "r", "p", "quadratics", "quadratics_independent", "ambient")
@@ -238,26 +242,32 @@ def differential(c: KoszulComplex, elem: ExtElement) -> ExtElement:
     return ExtElement(c.ambient, out)
 
 
-def _fill_columns(c: KoszulComplex, dom, index: dict, a: np.ndarray) -> None:
-    """Write d(dom[j]) mod p into column j of ``a``; ``index`` maps codomain keys to rows."""
+def _block_matrix(c: KoszulComplex, dom, cod) -> FpMatrix:
+    """Matrix of d from the keys ``dom`` to the keys ``cod``, columns and rows in that order.
+
+    ``cod`` must hold every key that d reaches from ``dom``: one grade of
+    degree d + 1 does for the same grade of degree d.
+    """
+    index = {key: i for i, key in enumerate(cod)}
+    a = np.zeros((len(cod), len(dom)), dtype=np.int64)
     for j, (eb, xb) in enumerate(dom):
         for k, v in _diff_term(c, eb, xb).items():
             v %= c.p
             if v:
                 a[index[k], j] = v
+    return FpMatrix(a, c.p)
 
 
 def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
     """Matrix of d from the degree-d basis to the degree-(d+1) basis.
 
     Rows are indexed by the codomain basis, columns by the domain basis, both
-    in the canonical order.  For d = top degree the codomain is empty.
+    in the canonical order.  For d = top degree the codomain is empty.  This
+    is the one-block case of the graded blocks ``betti`` works on.
     """
     dom = _basis_bits(c.w, c.r, d) if 0 <= d <= c.top_degree else ()
     cod = _basis_bits(c.w, c.r, d + 1) if d + 1 <= c.top_degree else ()
-    a = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    _fill_columns(c, dom, {key: i for i, key in enumerate(cod)}, a)
-    return FpMatrix(a, c.p)
+    return _block_matrix(c, dom, cod)
 
 
 def _grading(c: KoszulComplex):
@@ -298,29 +308,6 @@ def _graded_basis(c: KoszulComplex, d: int, grade) -> dict:
     return buckets
 
 
-def _block_ranks(c: KoszulComplex) -> tuple[list[int], list[int]]:
-    """Basis sizes and rank(d_d) for d = 0..w+r, one rank call per graded block.
-
-    d maps each grade of degree d into the same grade of degree d + 1, so its
-    matrix is block-diagonal and its rank is the sum of the block ranks.
-    """
-    grade = _grading(c)
-    sizes, ranks = [], []
-    cod = _graded_basis(c, 0, grade)
-    for d in range(c.top_degree + 1):
-        dom, cod = cod, _graded_basis(c, d + 1, grade)
-        total = 0
-        for g, cols in dom.items():
-            rows = cod.get(g)
-            if rows:
-                a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-                _fill_columns(c, cols, {key: i for i, key in enumerate(rows)}, a)
-                total += fplin.rank(FpMatrix(a, c.p))
-        sizes.append(sum(len(cols) for cols in dom.values()))
-        ranks.append(total)
-    return sizes, ranks
-
-
 @dataclass(frozen=True)
 class CohomologyClass:
     """A homology class with its canonical representative cocycle."""
@@ -344,8 +331,10 @@ class BettiTable:
 
     ``dims[d]`` is the dimension in degree d for d = 0..w+r.  When computed
     with representatives, ``representatives[d]`` lists canonical cocycles
-    whose classes form a basis.  Compared by identity; cup products require
-    both classes to come from the same table.
+    whose classes form a basis, and ``_matrices[d]`` maps each grade of
+    degree d to its keys, the indices of its representatives and its incoming
+    block of d_(d-1).  Compared by identity; cup products require both classes
+    to come from the same table.
     """
 
     def __init__(self, complex: KoszulComplex, dims, representatives, matrices):
@@ -353,7 +342,7 @@ class BettiTable:
         self.dims = tuple(int(b) for b in dims)
         self.representatives = representatives
         self._matrices = matrices
-        self._rep_vectors: dict[int, np.ndarray] | None = None
+        self._grade = _grading(complex)
 
     def classes(self, degree: int) -> list[CohomologyClass]:
         if self.representatives is None:
@@ -366,7 +355,11 @@ class BettiTable:
         return self.class_from_cocycle(self.complex.ambient.one())
 
     def class_from_cocycle(self, elem: ExtElement, degree: int | None = None) -> CohomologyClass:
-        """Express a cocycle in homology coordinates (reduce mod boundaries)."""
+        """Express a cocycle in homology coordinates (reduce mod boundaries).
+
+        The cocycle is split by grade, and each part is solved against its
+        block's representatives and incoming boundary columns.
+        """
         if self.representatives is None:
             raise ValueError("table was computed without representatives")
         c = self.complex
@@ -382,69 +375,84 @@ class BettiTable:
         if not differential(c, elem).is_zero():
             raise NotACocycle(f"d({elem}) != 0")
 
-        keys = _basis_bits(c.w, c.r, d)
-        index = {k: i for i, k in enumerate(keys)}
-        vec = np.zeros(len(keys), dtype=np.int64)
+        by_grade: dict = {}
         for key, coeff in elem._terms.items():
-            vec[index[key]] = coeff
-
+            by_grade.setdefault(self._grade(key), {})[key] = coeff
         reps = self.representatives[d]
-        rmat = np.zeros((len(keys), len(reps)), dtype=np.int64)
-        for j, r in enumerate(reps):
-            for key, coeff in r._terms.items():
-                rmat[index[key], j] = coeff
-        bmat = self._matrices[d - 1].entries if d > 0 else np.zeros((len(keys), 0), dtype=np.int64)
-        sol = fplin.solve(FpMatrix(np.concatenate([rmat, bmat], axis=1), c.p), vec)
-        if sol is None:
-            raise NotACocycle("cocycle does not lie in the kernel of the differential")
+        coeffs = [0] * len(reps)
+        for g, terms in by_grade.items():
+            keys, idx, bnd = self._matrices[d][g]
+            index = {k: i for i, k in enumerate(keys)}
+            cols = np.zeros((len(keys), len(idx) + 1), dtype=np.int64)
+            for j, col_terms in enumerate([reps[i]._terms for i in idx] + [terms]):
+                for key, coeff in col_terms.items():
+                    cols[index[key], j] = coeff
+            sol = fplin.solve(FpMatrix(np.concatenate([cols[:, :-1], bnd], axis=1), c.p), cols[:, -1])
+            if sol is None:
+                raise NotACocycle("cocycle does not lie in the kernel of the differential")
+            for j, i in enumerate(idx):
+                coeffs[i] = int(sol[j])
         out = c.ambient.zero()
-        for j, r in enumerate(reps):
-            out = out + int(sol[j]) * r
+        for coeff, r in zip(coeffs, reps):
+            out = out + coeff * r
         return CohomologyClass(d, out, self)
-
-
-def _keys_to_elements(c: KoszulComplex, d: int, vectors) -> list[ExtElement]:
-    keys = _basis_bits(c.w, c.r, d)
-    out = []
-    for v in vectors:
-        out.append(ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}))
-    return out
 
 
 def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int | None = None) -> BettiTable:
     """Homology of the complex: dims b_0..b_(w+r) and canonical representatives.
 
-    b_d = dim ker(d_d) - rank(d_(d-1)).  With representatives, each degree's
-    dense matrix is built and reduced, one degree after another; above
+    b_d = dim ker(d_d) - rank(d_(d-1)).  Each degree's basis is split into
+    the grades of ``_grading``, and d maps each grade into the same grade of
+    the next degree, so every step works on one block at a time.  Without
+    representatives, ranks are summed over the blocks and nothing is kept.
+    With them, each block's kernel basis is reduced modulo the block's
+    incoming boundary columns, as ``fplin.quotient_representatives`` does,
+    and the representatives are merged in the canonical order of their source
+    cycle's free column, the order one full-degree matrix would give.  Above
     w + r = WARN_SIZE_LIMIT this warns, as matrix sides reach C(w+r, d).
-    Without representatives, ranks are summed over the graded blocks of each
-    degree (see ``_grading``) and no matrix is kept.  ``workers`` is accepted
-    for compatibility and ignored: degrees always run serially.
+    ``workers`` is accepted for compatibility and ignored: degrees always run
+    serially.
     """
     top = c.top_degree
-    if not with_representatives:
-        sizes, ranks = _block_ranks(c)
-        dims = [sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1)]
-        return BettiTable(c, dims, None, None)
-
-    if top > WARN_SIZE_LIMIT:
+    if with_representatives and top > WARN_SIZE_LIMIT:
         warnings.warn(
             f"w + r = {top}: matrix sides reach C({top}, d); expect long runtimes",
             RuntimeWarning,
             stacklevel=2,
         )
-    mats = [differential_matrix(c, d) for d in range(top + 1)]
-    dims = []
-    reps_by_degree = []
-    prev_rank = 0
+    grade = _grading(c)
+    dims, reps_by_degree, blocks_by_degree = [], [], []
+    prev_rank, incoming = 0, {}
+    cod = _graded_basis(c, 0, grade)
     for d in range(top + 1):
-        ker = fplin.kernel_basis(mats[d])
-        bnd = list(mats[d - 1].entries.T) if d > 0 else []
-        reps = fplin.quotient_representatives(ker, bnd, c.p)
-        dims.append(len(ker) - prev_rank)
-        prev_rank = mats[d].cols - len(ker)
-        reps_by_degree.append(tuple(_keys_to_elements(c, d, reps)))
-    return BettiTable(c, dims, tuple(reps_by_degree), mats)
+        dom, cod = cod, _graded_basis(c, d + 1, grade)
+        rank, outgoing, found, blocks = 0, {}, [], {}
+        for g, keys in dom.items():
+            rows = cod.get(g, ())
+            if not with_representatives:
+                rank += fplin.rank(_block_matrix(c, keys, rows)) if rows else 0
+                continue
+            outgoing[g] = m = _block_matrix(c, keys, rows)
+            ker = fplin.kernel_basis(m)
+            rank += len(keys) - len(ker)
+            bnd = incoming[g].entries if g in incoming else np.zeros((len(keys), 0), dtype=np.int64)
+            for i, v in fplin._quotient_pairs(ker, list(bnd.T), c.p):
+                eb, xb = keys[int(np.flatnonzero(ker[i])[-1])]  # the free column of cycle i
+                found.append(((xb, eb), g, v))
+            blocks[g] = (keys, [], bnd)
+        found.sort(key=lambda item: item[0])
+        reps = []
+        for j, (_, g, v) in enumerate(found):
+            keys, idx, _ = blocks[g]
+            idx.append(j)
+            reps.append(ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}))
+        dims.append(sum(map(len, dom.values())) - rank - prev_rank)
+        prev_rank, incoming = rank, outgoing
+        reps_by_degree.append(tuple(reps))
+        blocks_by_degree.append(blocks)
+    if not with_representatives:
+        return BettiTable(c, dims, None, None)
+    return BettiTable(c, dims, tuple(reps_by_degree), blocks_by_degree)
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:

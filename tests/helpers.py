@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 
-from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex
+from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, differential_matrix
 from frattini.bocksteindga import _mul_term_dicts
 from frattini.extalg import _basis_bits
-from frattini.fplin import BoundaryNotCycle, rref
+from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, rref, solve
 from frattini.pgroups import VerificationReport
 
 
@@ -113,6 +113,52 @@ def reference_kernel_basis(m):
         for k, c in enumerate(piv):
             v[c] = (-int(red.entries[k, f])) % m.p
         out.append(v)
+    return out
+
+
+def reference_betti(c):
+    """The dense representative ``betti``: each degree's full matrix, reduced
+    one degree after another.  Returns (dims, representatives by degree,
+    matrices), the matrices being what ``reference_class_from_cocycle`` needs."""
+    top = c.top_degree
+    mats = [differential_matrix(c, d) for d in range(top + 1)]
+    dims = []
+    reps_by_degree = []
+    prev_rank = 0
+    for d in range(top + 1):
+        ker = kernel_basis(mats[d])
+        bnd = list(mats[d - 1].entries.T) if d > 0 else []
+        reps = quotient_representatives(ker, bnd, c.p)
+        dims.append(len(ker) - prev_rank)
+        prev_rank = mats[d].cols - len(ker)
+        keys = _basis_bits(c.w, c.r, d)
+        reps_by_degree.append(
+            tuple(ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}) for v in reps)
+        )
+    return tuple(dims), tuple(reps_by_degree), mats
+
+
+def reference_class_from_cocycle(c, reps_by_degree, mats, elem):
+    """The dense ``BettiTable.class_from_cocycle``: the representative of a
+    nonzero homogeneous cocycle's class, from one solve against
+    [representatives | the whole boundary matrix of its degree]."""
+    d = elem.degree()
+    keys = _basis_bits(c.w, c.r, d)
+    index = {k: i for i, k in enumerate(keys)}
+    vec = np.zeros(len(keys), dtype=np.int64)
+    for key, coeff in elem._terms.items():
+        vec[index[key]] = coeff
+    reps = reps_by_degree[d]
+    rmat = np.zeros((len(keys), len(reps)), dtype=np.int64)
+    for j, r in enumerate(reps):
+        for key, coeff in r._terms.items():
+            rmat[index[key], j] = coeff
+    bmat = mats[d - 1].entries if d > 0 else np.zeros((len(keys), 0), dtype=np.int64)
+    sol = solve(FpMatrix(np.concatenate([rmat, bmat], axis=1), c.p), vec)
+    assert sol is not None, "not a cocycle"
+    out = c.ambient.zero()
+    for j, r in enumerate(reps):
+        out = out + int(sol[j]) * r
     return out
 
 

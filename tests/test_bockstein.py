@@ -16,6 +16,7 @@ from frattini.bocksteindga import (
     verify_differential,
 )
 from frattini.extalg import AmbientMismatch
+from frattini.pgroups import BudgetExceeded
 from helpers import reference_beta_term
 
 G = Generators(3, 5)
@@ -246,3 +247,23 @@ def test_sweep_cost_follows_monomials_not_masks():
     assert rep.monomials_checked == 703
     assert rep.beta_squared_violations == 0
     assert rep.leibniz_violations == 0
+
+
+@pytest.mark.parametrize("n, p, max_degree", [(2, 5, 4), (3, 5, 5), (4, 7, 7), (8, 11, 2)])
+def test_sweep_budget_counts_exactly_the_monomials(monkeypatch, n, p, max_degree):
+    """The budget admits a sweep of exactly SWEEP_BUDGET monomials and refuses one more."""
+    count = len(_monomials_up_to(Generators(n, p), max_degree))
+    monkeypatch.setattr(bocksteindga, "SWEEP_BUDGET", count)
+    assert verify_differential(n, p, max_degree, leibniz_pairs=0).monomials_checked == count
+    monkeypatch.setattr(bocksteindga, "SWEEP_BUDGET", count - 1)
+    with pytest.raises(BudgetExceeded, match=f"^{count} monomials of degree <= {max_degree} exceed"):
+        verify_differential(n, p, max_degree, leibniz_pairs=0)
+
+
+def test_sweep_budget_refuses_before_enumerating(monkeypatch):
+    def refuse(amb, d):
+        raise AssertionError("monomials enumerated")
+
+    monkeypatch.setattr(bocksteindga, "_monomials_up_to", refuse)
+    with pytest.raises(BudgetExceeded):
+        verify_differential(12, 5, 6)

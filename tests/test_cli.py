@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,7 +15,6 @@ from frattini.cli import (
     EXIT_DISAGREE,
     EXIT_NOT_CONTAINED,
     EXIT_OK,
-    JobSpec,
     main,
 )
 
@@ -340,13 +340,6 @@ def test_crosscheck_text_and_json():
     assert report["all_agree_within_guarantee"] is True
 
 
-def test_jobspec_validation():
-    with pytest.raises(ValueError):
-        JobSpec(command="nope", parameters={}, output_format="text", seed=0, truncation=None)
-    with pytest.raises(ValueError):
-        JobSpec(command="unp", parameters={}, output_format="yaml", seed=0, truncation=None)
-
-
 def _run_cli_subprocess(argv, hashseed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
@@ -402,6 +395,7 @@ def test_out_of_range_counts_exit_3(argv):
         ["nosuchcommand"],
         ["bockstein", "-n", "x", "-p", "5"],
         ["crosscheck", "--workers", "2"],
+        ["unp", "-n", "2", "--format", "yaml"],
     ],
 )
 def test_usage_errors_exit_3_not_2(argv):
@@ -433,6 +427,26 @@ def test_out_of_memory_exits_4(monkeypatch, argv):
     assert out == ""
     assert err.startswith("error: out of memory")
     assert "Traceback" not in err
+
+
+def test_bare_memory_error_names_the_failed_allocation(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(koszul, "betti", exhausted)
+    code, out, err = invoke(HEISENBERG)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: out of memory (allocation failed); try a smaller input\n"
+
+
+def test_bockstein_sweep_over_budget_exits_4_quickly():
+    start = time.perf_counter()
+    code, out, err = invoke(["bockstein", "-n", "12", "-p", "5", "--max-degree", "6"])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: 406481544 monomials of degree <= 6 exceed the sweep budget 1000000")
 
 
 def test_size_warning_reported_by_koszul_not_unp(monkeypatch):

@@ -26,7 +26,13 @@ from frattini import fplin, koszul
 from frattini.extalg import ExtElement, _basis_bits
 from frattini.younghook import unp_betti
 
-from helpers import random_complex, random_element, random_quadratic
+from helpers import (
+    random_complex,
+    random_element,
+    random_quadratic,
+    reference_betti,
+    reference_class_from_cocycle,
+)
 
 
 def heisenberg(p=5):
@@ -406,3 +412,135 @@ def test_unp6_complex_emits_no_warning():
         warnings.simplefilter("error")
         c = unp_complex(6, 17)
     assert c.top_degree == 21
+
+
+# -- representatives and cup lookup by graded blocks ---------------------------
+
+
+def assert_matches_dense_reference(c, left_degrees=(1,)):
+    """Dims, representatives (terms in order) and cup products equal the dense
+    reference.  Cups pair every class of a degree in ``left_degrees`` with
+    every class that keeps the product within the top degree."""
+    table = betti(c)
+    dims, reps, mats = reference_betti(c)
+    assert table.dims == dims
+    for d in range(c.top_degree + 1):
+        got = [list(r._terms.items()) for r in table.representatives[d]]
+        assert got == [list(r._terms.items()) for r in reps[d]], f"degree {d}"
+    for i in left_degrees:
+        for a in table.classes(i):
+            for j in range(c.top_degree + 1 - i):
+                for b in table.classes(j):
+                    z = a.representative * b.representative
+                    want = z if z.is_zero() else reference_class_from_cocycle(c, reps, mats, z)
+                    assert list(cup(a, b).representative._terms.items()) == list(want._terms.items())
+    return table
+
+
+@pytest.mark.parametrize("p", [3, 7, 2147483647])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_representatives_match_dense_on_unp(n, p):
+    c = unp_complex(n, p)
+    assert is_multidegree(c)
+    assert_matches_dense_reference(c, left_degrees=(1, 2) if n < 4 else (1,))
+
+
+def test_block_representatives_match_dense_on_random_complexes():
+    """30 draws; every third with r >= 1 gets a dependent extra quadratic."""
+    rng = random.Random(3030)
+    dependent = 0
+    for i in range(30):
+        c = random_complex(rng, w_max=5, r_max=3, primes=(3, 5, 7, 2147483647))
+        if i % 3 == 0 and c.r:
+            extra = rng.randrange(1, c.p) * c.quadratics[0] + c.quadratics[-1]
+            c = forced_complex(c.w, c.p, [ExtElement(Ambient(c.w, 0, c.p), q._terms) for q in c.quadratics] + [extra])
+        dependent += not c.quadratics_independent
+        assert_matches_dense_reference(c, left_degrees=(1, 2) if c.top_degree <= 6 else (1,))
+    assert dependent >= 3
+
+
+def test_block_representatives_match_dense_on_monomial_families(rng):
+    for _ in range(10):
+        w = rng.randint(2, 5)
+        p = rng.choice((3, 5, 7, 2147483647))
+        amb = Ambient(w, 0, p)
+        quads = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = sorted(rng.sample(range(w), 2))
+            quads.append(ExtElement(amb, {((1 << a) | (1 << b), 0): rng.randrange(1, p)}))
+        c = forced_complex(w, p, quads)
+        assert is_multidegree(c)
+        assert_matches_dense_reference(c, left_degrees=(1, 2))
+
+
+def test_block_representatives_edge_complexes():
+    amb = Ambient(3, 0, 5)
+    assert_matches_dense_reference(forced_complex(3, 5, [parse("e1^e2", amb), amb.zero()]), (0, 1, 2))
+    for w in (0, 3):
+        assert_matches_dense_reference(KoszulComplex(w, 7, []), (0, 1))
+    table = assert_matches_dense_reference(forced_complex(0, 5, [Ambient(0, 0, 5).zero()] * 2), (0, 1))
+    assert [str(r) for r in table.representatives[1]] == ["x1", "x2"]
+
+
+def generic_w5_r3_p7():
+    rng = random.Random(44)
+    while True:
+        try:
+            return KoszulComplex(5, 7, [random_quadratic(rng, 5, 7) for _ in range(3)])
+        except DependentQuadratics:
+            continue
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: unp_complex(3, 7), lambda: unp_complex(4, 11), generic_w5_r3_p7], ids=["u3", "u4", "generic"]
+)
+def test_class_from_cocycle_across_grades_matches_dense(make, rng):
+    """Random combinations of representatives plus a random boundary, which
+    spreads each cocycle over several grades."""
+    c = make()
+    table = betti(c)
+    _, reps, mats = reference_betti(c)
+    grade = koszul._grading(c)
+    spread = 0
+    for d in range(1, c.top_degree + 1):
+        for _ in range(3):
+            z = differential(c, random_element(rng, c.ambient, d - 1, density=0.3))
+            for r in table.representatives[d]:
+                z = z + rng.randrange(c.p) * r
+            if z.is_zero():
+                continue
+            spread += len({grade(key) for key in z._terms}) > 1
+            want = reference_class_from_cocycle(c, reps, mats, z)
+            assert list(table.class_from_cocycle(z).representative._terms.items()) == list(want._terms.items())
+    assert spread >= 5
+
+
+def test_representatives_build_no_full_degree_matrix(monkeypatch):
+    def refuse(c, d):
+        raise AssertionError("full-degree matrix built")
+
+    monkeypatch.setattr(koszul, "differential_matrix", refuse)
+    table = betti(unp_complex(3, 7))
+    assert table.dims == (1, 3, 8, 12, 8, 3, 1)
+    ones = table.classes(1)
+    assert str(cup(ones[0], table.classes(2)[3])) == "[2 e1^e2^x2]"
+
+
+def test_representatives_memory_generic_w6_r6():
+    """betti with representatives on a generic (w, r, p) = (6, 6, 11) complex."""
+    rng = random.Random(6611)
+    while True:
+        quads = [random_quadratic(rng, 6, 11) for _ in range(6)]
+        try:
+            c = KoszulComplex(6, 11, quads)
+            break
+        except DependentQuadratics:
+            continue
+    tracemalloc.start()
+    try:
+        table = betti(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert [len(reps) for reps in table.representatives] == list(table.dims)
