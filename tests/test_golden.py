@@ -22,7 +22,11 @@ that the group guards:
   commit c479c70, before representatives and cup products were computed on the
   graded blocks of each degree.  Both use the Z^w multidegree grading (every
   quadratic a single monomial); every earlier representative golden uses the
-  weight grading.
+  weight grading;
+* ``unp_n6_json.out`` and ``unp_n5_p3_json.out``: at commit 9ed423a, before
+  ranks-only Betti numbers of single-monomial complete complexes were computed
+  one block per S_w orbit of multidegrees (at p = 3, U(5)'s dimensions depend on
+  p, so the second file pins that path where torsion shows).
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
@@ -79,6 +83,8 @@ CLI_CASES = {
         "koszul", "-w", "5", "-p", "7", "-q", "e1^e2", "-q", "3 e2^e3", "-q", "e3^e4", "-q", "2 e4^e5",
         "-q", "e1^e5", "-q", "5 e1^e3", "-q", "e2^e4", "--full", "--format", "json",
     ],
+    "unp_n6_json": ["unp", "-n", "6", "--format", "json"],
+    "unp_n5_p3_json": ["unp", "-n", "5", "-p", "3", "--format", "json"],
 }
 
 
