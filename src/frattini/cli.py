@@ -413,8 +413,8 @@ def run_series(args: argparse.Namespace) -> tuple[dict, int]:
 def run_crosscheck(args: argparse.Namespace) -> tuple[dict, int]:
     given = _int_list(args.primes, "primes")
     n_max = args.n_max
-    if not 1 <= n_max <= 5:
-        raise CliError(EXIT_BAD_INPUT, "n_max must be between 1 and 5 (the complex has 2^(n + C(n,2)) monomials)")
+    if not 1 <= n_max <= 6:
+        raise CliError(EXIT_BAD_INPUT, "n_max must be between 1 and 6 (the complex has 2^(n + C(n,2)) monomials)")
     primes = [(_prime(p)) for p in given]
     if not primes:
         raise CliError(EXIT_BAD_INPUT, "need at least one prime")
@@ -666,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, seed=False, truncate=True)
 
     sp = sub.add_parser("crosscheck", help="Koszul-vs-oracle agreement over a range of n and p")
-    sp.add_argument("--n-max", type=int, default=3, help="largest n (1..5)")
+    sp.add_argument("--n-max", type=int, default=3, help="largest n (1..6)")
     sp.add_argument("--primes", default="7,11,101", help="comma-separated odd primes")
     common(sp, seed=False)
 

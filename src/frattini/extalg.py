@@ -139,15 +139,23 @@ def _monomial_text(e_bits: int, x_bits: int) -> str:
 
 
 def _merge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint combined masks."""
-    sign = 0
-    m = b
-    while m:
-        low = m & -m
-        j = low.bit_length() - 1
-        sign ^= (a >> (j + 1)).bit_count() & 1
-        m ^= low
-    return -1 if sign else 1
+    """Sign of sorting the concatenation of two disjoint combined masks.
+
+    It is the parity of the pairs i in a, j in b with i > j, counted over
+    whichever mask has fewer set bits.
+    """
+    n = 0
+    if a.bit_count() <= b.bit_count():
+        while a:
+            low = a & -a
+            n += (b & (low - 1)).bit_count()
+            a ^= low
+    else:
+        while b:
+            low = b & -b
+            n += (a >> low.bit_length()).bit_count()
+            b ^= low
+    return -1 if n & 1 else 1
 
 
 class _TermMap:

@@ -17,13 +17,23 @@ representatives and the reduction of cocycles to classes all work one grade
 block at a time; no full-degree matrix is built.  The RREF of a block-diagonal
 matrix is the union of the block RREFs, so this gives the same bytes as the
 full matrices would.
+
+When the quadratics are single monomials c_t e_a e_b covering every pair
+{a, b} exactly once (``unp_complex``, up to reordering and rescaling), S_w acts
+on the complex by chain automorphisms, so blocks of permuted multidegrees have
+equal rank.  Ranks-only Betti numbers then rank one block per orbit, the one
+of non-increasing multidegree, generated directly from the x-masks bucketed by
+degree sequence, and weight it by the orbit size.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial, prod
+from operator import sub
 
 import numpy as np
 
@@ -270,6 +280,17 @@ def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
     return _block_matrix(c, dom, cod)
 
 
+def _monomial_pairs(c: KoszulComplex):
+    """The pair (a, b), a < b, of each quadratic c_t e_a e_b, or None unless all are single monomials."""
+    pairs = []
+    for q in c.quadratics:
+        if len(q._terms) != 1:
+            return None
+        ((eb, _),) = q._terms
+        pairs.append(tuple(i for i in range(c.w) if eb >> i & 1))
+    return pairs
+
+
 def _grading(c: KoszulComplex):
     """A grade of the basis keys (e_bits, x_bits) that d preserves.
 
@@ -277,12 +298,9 @@ def _grading(c: KoszulComplex):
     multidegree, e_i -> eps_i and x_t -> eps_a + eps_b, as a tuple.  Otherwise
     it is the internal weight |S| + 2|T| of e_S x_T.
     """
-    pairs = []
-    for q in c.quadratics:
-        if len(q._terms) != 1:
-            return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
-        ((eb, _),) = q._terms
-        pairs.append([i for i in range(c.w) if eb >> i & 1])
+    pairs = _monomial_pairs(c)
+    if pairs is None:
+        return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
     x_degrees: dict[int, list[int]] = {}
 
     def multidegree(key):
@@ -298,6 +316,41 @@ def _grading(c: KoszulComplex):
         return tuple(m + (eb >> i & 1) for i, m in enumerate(base))
 
     return multidegree
+
+
+def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
+    """rank(d_d) for d = 0..w+r when the quadratics' pairs are every pair {a, b} once.
+
+    Then S_w acts on the complex by chain automorphisms (rescale each x_t by
+    c_t, permute the e_i, send x_ab to +-x_(sigma a)(sigma b)), so the blocks of
+    multidegrees mu and sigma mu have equal rank at every p.  Only the blocks
+    of non-increasing mu are built, each from the x-masks T whose degree
+    sequence is mu - 1_S, and each rank counts w!/prod m_k! times, m_k being
+    the multiplicities of the entries of mu.
+    """
+    w = c.w
+    x_degrees = [(0,) * w]
+    by_degree: dict[tuple, list[int]] = {(0,) * w: [0]}
+    for xb in range(1, 1 << c.r):
+        a, b = pairs[(xb & -xb).bit_length() - 1]
+        deg = list(x_degrees[xb & (xb - 1)])
+        deg[a] += 1
+        deg[b] += 1
+        x_degrees.append(tuple(deg))
+        by_degree.setdefault(x_degrees[xb], []).append(xb)
+    e_degrees = [tuple(eb >> i & 1 for i in range(w)) for eb in range(1 << w)]
+    ranks = [0] * (c.top_degree + 1)
+    for mu in combinations_with_replacement(range(w, -1, -1), w):
+        by_d: dict[int, list] = {}
+        for eb, e_deg in enumerate(e_degrees):
+            xbs = by_degree.get(tuple(map(sub, mu, e_deg)))
+            if xbs:  # every T in one bucket has |T| = |mu - 1_S| / 2, so one degree
+                by_d.setdefault(eb.bit_count() + xbs[0].bit_count(), []).extend((eb, xb) for xb in xbs)
+        orbit = factorial(w) // prod(map(factorial, Counter(mu).values()))
+        for d, keys in by_d.items():
+            if d + 1 in by_d:
+                ranks[d] += orbit * fplin.rank(_block_matrix(c, keys, by_d[d + 1]))
+    return ranks
 
 
 def _graded_basis(c: KoszulComplex, d: int, grade) -> dict:
@@ -404,7 +457,10 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     b_d = dim ker(d_d) - rank(d_(d-1)).  Each degree's basis is split into
     the grades of ``_grading``, and d maps each grade into the same grade of
     the next degree, so every step works on one block at a time.  Without
-    representatives, ranks are summed over the blocks and nothing is kept.
+    representatives, ranks are summed over the blocks and nothing is kept;
+    when the quadratics are single monomials over every pair {a, b} once,
+    only one block per S_w orbit of multidegrees is ranked, weighted by the
+    orbit size (``_orbit_ranks``).
     With them, each block's kernel basis is reduced modulo the block's
     incoming boundary columns, as ``fplin.quotient_representatives`` does,
     and the representatives are merged in the canonical order of their source
@@ -420,6 +476,11 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
             RuntimeWarning,
             stacklevel=2,
         )
+    pairs = _monomial_pairs(c)
+    if not with_representatives and pairs is not None and sorted(pairs) == list(combinations(range(c.w), 2)):
+        ranks = _orbit_ranks(c, pairs)
+        dims = [comb(top, d) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1)]
+        return BettiTable(c, dims, None, None)
     grade = _grading(c)
     dims, reps_by_degree, blocks_by_degree = [], [], []
     prev_rank, incoming = 0, {}

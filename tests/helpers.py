@@ -5,7 +5,8 @@ import warnings
 
 import numpy as np
 
-from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, differential_matrix
+from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, differential_matrix, fplin
+from frattini.koszul import _block_matrix, _graded_basis, _grading
 from frattini.bocksteindga import _mul_term_dicts
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, rref, solve
@@ -136,6 +137,31 @@ def reference_betti(c):
             tuple(ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}) for v in reps)
         )
     return tuple(dims), tuple(reps_by_degree), mats
+
+
+def reference_block_dims(c):
+    """Betti numbers from the rank of every (degree, grade) block of ``_grading``:
+    the all-blocks walk, with no orbit reduction."""
+    grade = _grading(c)
+    top = c.top_degree
+    ranks = []
+    for d in range(top + 1):
+        dom, cod = _graded_basis(c, d, grade), _graded_basis(c, d + 1, grade)
+        ranks.append(sum(fplin.rank(_block_matrix(c, keys, cod[g])) for g, keys in dom.items() if g in cod))
+    sizes = [len(_basis_bits(c.w, c.r, d)) for d in range(top + 1)]
+    return tuple(sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1))
+
+
+def reference_merge_sign(a, b):
+    """Sign of sorting the concatenation of disjoint masks a, b, one bit of b at a time."""
+    sign = 0
+    m = b
+    while m:
+        low = m & -m
+        j = low.bit_length() - 1
+        sign ^= (a >> (j + 1)).bit_count() & 1
+        m ^= low
+    return -1 if sign else 1
 
 
 def reference_class_from_cocycle(c, reps_by_degree, mats, elem):

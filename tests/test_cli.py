@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from frattini import koszul
+from frattini import koszul, younghook
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -467,3 +467,19 @@ def test_size_warning_listed_before_dependent_warning(monkeypatch):
         "w + r = 5: matrix sides reach C(5, d); expect long runtimes",
         "dependent quadratics: computing homology without the b_1 = w guarantee",
     ]
+
+
+def test_crosscheck_n_max_7_exits_3():
+    code, out, err = invoke(["crosscheck", "--n-max", "7"])
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: n_max must be between 1 and 6")
+
+
+def test_crosscheck_n_max_6_agrees():
+    code, report = invoke_json(["crosscheck", "--n-max", "6", "--primes", "17"])
+    assert code == EXIT_OK
+    assert [row["n"] for row in report["rows"]] == [1, 2, 3, 4, 5, 6]
+    assert all(row["agree"] and row["within_guarantee"] for row in report["rows"])
+    assert report["rows"][-1]["koszul"] == younghook.unp_betti(6)
+    assert report["all_agree_within_guarantee"] is True

@@ -14,7 +14,10 @@ from frattini.extalg import (
     format_element,
     parse,
     wedge,
+    _merge_sign,
 )
+
+from helpers import reference_merge_sign
 
 AMB = Ambient(3, 2, 5)
 
@@ -191,3 +194,14 @@ def test_quadratic_form_arithmetic_returns_plain_element():
         assert type(result) is ExtElement
     assert q == parse("e1^e2 + 2 e2^e3", amb)
     assert hash(q) == hash(parse("e1^e2 + 2 e2^e3", amb))
+
+
+def test_merge_sign_matches_reference_on_all_disjoint_8_bit_pairs():
+    for a in range(1 << 8):
+        rest = 0xFF & ~a
+        b = rest
+        while True:
+            assert _merge_sign(a, b) == reference_merge_sign(a, b), (a, b)
+            if not b:
+                break
+            b = (b - 1) & rest

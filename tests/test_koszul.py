@@ -1,6 +1,8 @@
 import random
+import time
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from frattini.younghook import unp_betti
 
 from helpers import (
     random_complex,
+    reference_block_dims,
     random_element,
     random_quadratic,
     reference_betti,
@@ -544,3 +547,122 @@ def test_representatives_memory_generic_w6_r6():
         tracemalloc.stop()
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert [len(reps) for reps in table.representatives] == list(table.dims)
+
+
+# -- ranks-only Betti numbers by S_w orbits of multidegrees --------------------
+
+
+def spy_orbit_path(monkeypatch):
+    """Record each ``_orbit_ranks`` call and count every ``fplin.rank`` call."""
+    calls = {"orbit": 0, "rank": 0}
+    orbit_ranks, rank = koszul._orbit_ranks, fplin.rank
+
+    def counted_orbit(*args):
+        calls["orbit"] += 1
+        return orbit_ranks(*args)
+
+    def counted_rank(m):
+        calls["rank"] += 1
+        return rank(m)
+
+    monkeypatch.setattr(koszul, "_orbit_ranks", counted_orbit)
+    monkeypatch.setattr(fplin, "rank", counted_rank)
+    return calls
+
+
+def complete_monomial_complex(rng, w, p):
+    """Every pair e_a e_b once, in a shuffled order, with random nonzero coefficients."""
+    amb = Ambient(w, 0, p)
+    pairs = [(1 << a) | (1 << b) for a in range(w) for b in range(a + 1, w)]
+    rng.shuffle(pairs)
+    return KoszulComplex(w, p, [ExtElement(amb, {(eb, 0): rng.randrange(1, p)}) for eb in pairs])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 2147483647])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_ranks_match_all_blocks_on_unp(monkeypatch, n, p):
+    c = unp_complex(n, p)
+    expected = reference_block_dims(c)
+    calls = spy_orbit_path(monkeypatch)
+    dims = betti(c, with_representatives=False).dims
+    assert calls["orbit"] == 1
+    assert dims == expected
+    if p == 3 and n >= 4:
+        assert list(dims) != unp_betti(n)  # torsion shows below the collapse bound
+
+
+@pytest.mark.parametrize("w", [4, 5])
+def test_orbit_ranks_match_all_blocks_on_shuffled_rescaled_complete_complexes(monkeypatch, rng, w):
+    calls = spy_orbit_path(monkeypatch)
+    for p in (3, 5, 7, 2147483647):
+        c = complete_monomial_complex(rng, w, p)
+        assert betti(c, with_representatives=False).dims == reference_block_dims(c)
+    assert calls["orbit"] == 4
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_orbit_ranks_r0(monkeypatch, w):
+    c = KoszulComplex(w, 7, [])
+    calls = spy_orbit_path(monkeypatch)
+    dims = betti(c, with_representatives=False).dims
+    assert calls["orbit"] == 1
+    assert dims == reference_block_dims(c) == tuple(comb(w, d) for d in range(w + 1))
+
+
+def monomial_w5_r7_p7():
+    amb = Ambient(5, 0, 7)
+    texts = ("e1^e2", "3 e2^e3", "e3^e4", "2 e4^e5", "e1^e5", "5 e1^e3", "e2^e4")
+    return KoszulComplex(5, 7, [parse(t, amb) for t in texts])
+
+
+def k4_with_a_repeated_pair():
+    amb = Ambient(4, 0, 5)
+    texts = ("e1^e2", "e1^e3", "e1^e4", "e2^e3", "e2^e4", "e3^e4", "2 e1^e3")
+    return forced_complex(4, 5, [parse(t, amb) for t in texts])
+
+
+def exterior_w3():
+    return KoszulComplex(3, 7, [])
+
+
+@pytest.mark.parametrize("make", [monomial_w5_r7_p7, k4_with_a_repeated_pair, exterior_w3])
+def test_outside_the_symmetric_case_every_block_is_ranked(monkeypatch, make):
+    c = make()
+    expected = reference_block_dims(c)
+    grade = koszul._grading(c)
+    blocks = sum(
+        1
+        for d in range(c.top_degree + 1)
+        for g in koszul._graded_basis(c, d, grade)
+        if g in koszul._graded_basis(c, d + 1, grade)
+    )
+    calls = spy_orbit_path(monkeypatch)
+    assert betti(c, with_representatives=False).dims == expected
+    assert calls == {"orbit": 0, "rank": blocks}
+
+
+def test_orbit_ranks_one_block_per_sorted_multidegree(monkeypatch):
+    """U(5) ranks the 152 (degree, non-increasing multidegree) blocks, not all 3308."""
+    c = unp_complex(5, 17)
+    grade = koszul._grading(c)
+    blocks = sorted_blocks = 0
+    for d in range(c.top_degree + 1):
+        cod = koszul._graded_basis(c, d + 1, grade)
+        for g in koszul._graded_basis(c, d, grade):
+            if g in cod:
+                blocks += 1
+                sorted_blocks += list(g) == sorted(g, reverse=True)
+    assert (blocks, sorted_blocks) == (3308, 152)
+    calls = spy_orbit_path(monkeypatch)
+    betti(c, with_representatives=False)
+    assert calls == {"orbit": 1, "rank": sorted_blocks}
+
+
+def test_unp6_ranks_match_oracle_quickly(monkeypatch):
+    c = unp_complex(6, 17)
+    calls = spy_orbit_path(monkeypatch)
+    start = time.perf_counter()
+    dims = betti(c, with_representatives=False).dims
+    assert time.perf_counter() - start < 20
+    assert list(dims) == unp_betti(6)
+    assert calls == {"orbit": 1, "rank": 696}
