@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 
 from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, differential_matrix, fplin
-from frattini.koszul import _block_matrix, _graded_basis, _grading
 from frattini.bocksteindga import _mul_term_dicts
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, rref, solve
+from frattini.koszul import _block_matrix, _graded_basis, _grading
 from frattini.pgroups import VerificationReport
 
 
