@@ -47,6 +47,7 @@ EXIT_DISAGREE = 1
 EXIT_NOT_CONTAINED = 2
 EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -577,11 +578,8 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_render_text(report))
+def _render(report: dict, fmt: str) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n" if fmt == "json" else _render_text(report)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -687,13 +685,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code = _RUNNERS[args.command](args)
+        text = _render(report, args.format)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except MemoryError as exc:
         print(f"error: out of memory ({str(exc) or 'allocation failed'}); try a smaller input", file=sys.stderr)
         return EXIT_BUDGET
-    _emit(report, args.format)
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_INTERNAL
+    sys.stdout.write(text)
     return code
 
 

@@ -173,12 +173,18 @@ def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
     free coordinate is set to 1 and the pivot coordinates back-substituted.
     Exactly cols - rank vectors are returned.
     """
+    return list(_kernel(m)[0])
+
+
+def _kernel(m: FpMatrix) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``kernel_basis`` stacked, its free columns and m's RREF pivots.  The basis is
+    the identity on the free columns: an echelon basis on them for ``_reduce_rows``."""
     R, piv = _echelon(m.entries, m.p, reduced=True)
     free = np.setdiff1d(np.arange(m.cols), piv)
     k = np.zeros((free.size, m.cols), dtype=np.int64)
     k[np.arange(free.size), free] = 1
     k[:, piv] = (-R[:len(piv)][:, free].T) % m.p
-    return list(k)
+    return k, free, piv
 
 
 def solve(m: FpMatrix, b) -> np.ndarray | None:
@@ -202,8 +208,9 @@ def solve(m: FpMatrix, b) -> np.ndarray | None:
 def _reduce_rows(w: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     """Reduce every row of ``w`` in place against an echelon ``basis``; returns ``w``.
 
-    ``basis`` row k has a leading 1 in column ``pivots[k]``, the pivots
-    increasing.  Each row ends zero on ``pivots``, and zero exactly when it lies
+    ``basis`` row k is 1 in column ``pivots[k]`` and 0 in every later pivot
+    column: an echelon form with leading 1s, or a kernel basis on its free
+    columns.  Each row ends zero on ``pivots``, and zero exactly when it lies
     in the row space; for an RREF basis it is the normal form defined in
     ``quotient_representatives``.  One vectorised step per pivot.
     """
@@ -229,11 +236,6 @@ def quotient_representatives(cycles, boundaries, p) -> list[np.ndarray]:
     in one batched pass; one forward pass over them then clears each
     representative's lead column from the cycles after it.
     """
-    return [rep for _, rep in _quotient_pairs(cycles, boundaries, p)]
-
-
-def _quotient_pairs(cycles, boundaries, p) -> list[tuple[int, np.ndarray]]:
-    """``quotient_representatives``, each vector paired with the index of its cycle."""
     p = as_prime(p)
     cyc_rows = [np.asarray(v, dtype=np.int64) for v in cycles]
     rows = cyc_rows + [np.asarray(v, dtype=np.int64) for v in boundaries]
@@ -244,14 +246,18 @@ def _quotient_pairs(cycles, boundaries, p) -> list[tuple[int, np.ndarray]]:
         return []
     a = np.stack(rows)
     np.mod(a, p, out=a)
-    k = len(cyc_rows)
-    cyc, bnd = a[:k], a[k:]
+    cyc, bnd = a[:len(cyc_rows)], a[len(cyc_rows):]
+    return [rep for _, rep in _quotient_pairs(cyc, *_echelon(cyc, p, reduced=False), bnd, p)[0]]
 
-    cyc_echelon, cyc_pivots = _echelon(cyc, p, reduced=False)
+
+def _quotient_pairs(cyc, cyc_echelon, cyc_pivots, bnd, p):
+    """``quotient_representatives`` on residue arrays, given an echelon basis of
+    span(cyc) for ``_reduce_rows`` (a kernel basis and its free columns will do).
+    Returns [(cycle index, representative)] and the boundaries' RREF rows and pivots."""
     bnd_rref, bnd_pivots = _echelon(bnd, p, reduced=True)
-    w = _reduce_rows(cyc, bnd_rref, bnd_pivots, p)
+    w = _reduce_rows(cyc.copy(), bnd_rref, bnd_pivots, p)
     reps: list[tuple[int, np.ndarray]] = []
-    for i in range(k):
+    for i in range(len(w)):
         nz = np.nonzero(w[i])[0]
         if nz.size == 0:
             continue
@@ -268,4 +274,4 @@ def _quotient_pairs(cycles, boundaries, p) -> list[tuple[int, np.ndarray]]:
     if len(bnd_pivots) + len(reps) != len(cyc_pivots):
         outside = _reduce_rows(bnd, cyc_echelon, cyc_pivots, p).any(axis=1)
         raise BoundaryNotCycle(f"boundary {int(np.nonzero(outside)[0][0])} is not in the span of the cycles")
-    return reps
+    return reps, bnd_rref[:len(bnd_pivots)], bnd_pivots

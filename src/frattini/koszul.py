@@ -16,7 +16,9 @@ single monomial c e_a e_b, as for ``unp_complex``.  Betti numbers, the
 representatives and the reduction of cocycles to classes all work one grade
 block at a time; no full-degree matrix is built.  The RREF of a block-diagonal
 matrix is the union of the block RREFs, so this gives the same bytes as the
-full matrices would.
+full matrices would.  Each block is eliminated twice: the RREF of its outgoing
+matrix gives its cycles and, at its pivot columns, independent boundaries of
+the next degree; the RREF of those is kept for reducing cocycles to classes.
 
 When the quadratics are single monomials c_t e_a e_b covering every pair
 {a, b} exactly once (``unp_complex``, up to reordering and rescaling), S_w acts
@@ -385,9 +387,9 @@ class BettiTable:
     ``dims[d]`` is the dimension in degree d for d = 0..w+r.  When computed
     with representatives, ``representatives[d]`` lists canonical cocycles
     whose classes form a basis, and ``_matrices[d]`` maps each grade of
-    degree d to its keys, the indices of its representatives and its incoming
-    block of d_(d-1).  Compared by identity; cup products require both classes
-    to come from the same table.
+    degree d to its keys, the indices of its representatives, and the RREF of
+    its boundaries (rank-many rows) with its pivots.  Compared by identity; cup
+    products require both classes to come from the same table.
     """
 
     def __init__(self, complex: KoszulComplex, dims, representatives, matrices):
@@ -410,8 +412,11 @@ class BettiTable:
     def class_from_cocycle(self, elem: ExtElement, degree: int | None = None) -> CohomologyClass:
         """Express a cocycle in homology coordinates (reduce mod boundaries).
 
-        The cocycle is split by grade, and each part is solved against its
-        block's representatives and incoming boundary columns.
+        Each grade's part is reduced modulo its block's boundary RREF.  Each
+        representative is zero on that RREF's pivots and on the lead columns
+        of the representatives before it, so peeling them off in order by lead
+        column gives the coefficients; a nonzero remainder in any block raises
+        NotACocycle.  Nothing is eliminated here.
         """
         if self.representatives is None:
             raise ValueError("table was computed without representatives")
@@ -425,30 +430,33 @@ class BettiTable:
             raise ValueError("representative must be homogeneous")
         if degree is not None and degree != d:
             raise ValueError(f"element has degree {d}, expected {degree}")
-        if not differential(c, elem).is_zero():
-            raise NotACocycle(f"d({elem}) != 0")
 
         by_grade: dict = {}
         for key, coeff in elem._terms.items():
             by_grade.setdefault(self._grade(key), {})[key] = coeff
-        reps = self.representatives[d]
+        p, reps = c.p, self.representatives[d]
         coeffs = [0] * len(reps)
         for g, terms in by_grade.items():
-            keys, idx, bnd = self._matrices[d][g]
+            keys, idx, bnd_rref, bnd_pivots = self._matrices[d][g]
             index = {k: i for i, k in enumerate(keys)}
-            cols = np.zeros((len(keys), len(idx) + 1), dtype=np.int64)
-            for j, col_terms in enumerate([reps[i]._terms for i in idx] + [terms]):
-                for key, coeff in col_terms.items():
-                    cols[index[key], j] = coeff
-            sol = fplin.solve(FpMatrix(np.concatenate([cols[:, :-1], bnd], axis=1), c.p), cols[:, -1])
-            if sol is None:
-                raise NotACocycle("cocycle does not lie in the kernel of the differential")
-            for j, i in enumerate(idx):
-                coeffs[i] = int(sol[j])
-        out = c.ambient.zero()
+            rows = np.zeros((1 + len(idx), len(keys)), dtype=np.int64)
+            for j, row_terms in enumerate([terms] + [reps[i]._terms for i in idx]):
+                for key, coeff in row_terms.items():
+                    rows[j, index[key]] = coeff
+            v = fplin._reduce_rows(rows[:1], bnd_rref, bnd_pivots, p)[0]
+            for i, row in zip(idx, rows[1:]):
+                col = np.flatnonzero(row)[0]
+                coeffs[i] = int(v[col]) * pow(int(row[col]), p - 2, p) % p
+                v = (v - coeffs[i] * row) % p
+            if v.any():
+                raise NotACocycle(f"d({elem}) != 0")
+        out: dict = {}  # sum of coeff * rep, terms ordered as repeated ExtElement addition orders them
         for coeff, r in zip(coeffs, reps):
-            out = out + coeff * r
-        return CohomologyClass(d, out, self)
+            for key, rc in r._terms.items() if coeff else ():
+                out[key] = (out.get(key, 0) + coeff * rc) % p
+                if not out[key]:
+                    del out[key]
+        return CohomologyClass(d, ExtElement(c.ambient, out), self)
 
 
 def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int | None = None) -> BettiTable:
@@ -461,10 +469,11 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     when the quadratics are single monomials over every pair {a, b} once,
     only one block per S_w orbit of multidegrees is ranked, weighted by the
     orbit size (``_orbit_ranks``).
-    With them, each block's kernel basis is reduced modulo the block's
-    incoming boundary columns, as ``fplin.quotient_representatives`` does,
-    and the representatives are merged in the canonical order of their source
-    cycle's free column, the order one full-degree matrix would give.  Above
+    With them, each block's kernel basis is reduced modulo the RREF of its
+    incoming boundaries (the pivot columns of the previous degree's block), as
+    ``fplin.quotient_representatives`` does, and the representatives are
+    merged in the canonical order of their source cycle's free column, the
+    order one full-degree matrix would give.  Above
     w + r = WARN_SIZE_LIMIT this warns, as matrix sides reach C(w+r, d).
     ``workers`` is accepted for compatibility and ignored: degrees always run
     serially.
@@ -493,18 +502,18 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
             if not with_representatives:
                 rank += fplin.rank(_block_matrix(c, keys, rows)) if rows else 0
                 continue
-            outgoing[g] = m = _block_matrix(c, keys, rows)
-            ker = fplin.kernel_basis(m)
-            rank += len(keys) - len(ker)
-            bnd = incoming[g].entries if g in incoming else np.zeros((len(keys), 0), dtype=np.int64)
-            for i, v in fplin._quotient_pairs(ker, list(bnd.T), c.p):
-                eb, xb = keys[int(np.flatnonzero(ker[i])[-1])]  # the free column of cycle i
-                found.append(((xb, eb), g, v))
-            blocks[g] = (keys, [], bnd)
+            m = _block_matrix(c, keys, rows)
+            ker, free, piv = fplin._kernel(m)
+            rank += len(piv)
+            outgoing[g] = m.entries[:, piv].T  # independent columns spanning the image
+            bnd = incoming.get(g, np.zeros((0, len(keys)), dtype=np.int64))
+            pairs, bnd_rref, bnd_pivots = fplin._quotient_pairs(ker, ker, free, bnd, c.p)
+            found += [(keys[free[i]][::-1], g, v) for i, v in pairs]  # sorted by (x, e) of the free column
+            blocks[g] = (keys, [], bnd_rref, bnd_pivots)
         found.sort(key=lambda item: item[0])
         reps = []
         for j, (_, g, v) in enumerate(found):
-            keys, idx, _ = blocks[g]
+            keys, idx = blocks[g][:2]
             idx.append(j)
             reps.append(ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}))
         dims.append(sum(map(len, dom.values())) - rank - prev_rank)
@@ -519,9 +528,9 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Cup product of two classes from the same table.
 
-    The wedge of the representatives is verified to be a cocycle and reduced
-    modulo boundaries.  Degrees beyond w + r carry no classes, so the product
-    is the zero class there (rather than an error).
+    The wedge of the representatives is reduced modulo boundaries, which also
+    checks that it is a cocycle.  Degrees beyond w + r carry no classes, so
+    the product is the zero class there (rather than an error).
     """
     if a.table is not b.table:
         raise ValueError("classes come from different Betti tables")
@@ -532,8 +541,6 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     z = a.representative * b.representative
     if z.is_zero():
         return CohomologyClass(d, z, t)
-    if not differential(t.complex, z).is_zero():
-        raise NotACocycle("product of representatives is not a cocycle")
     return t.class_from_cocycle(z, degree=d)
 
 

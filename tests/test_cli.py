@@ -8,11 +8,12 @@ import time
 
 import pytest
 
-from frattini import koszul, younghook
+from frattini import cli, koszul, younghook
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
     EXIT_DISAGREE,
+    EXIT_INTERNAL,
     EXIT_NOT_CONTAINED,
     EXIT_OK,
     main,
@@ -438,6 +439,30 @@ def test_bare_memory_error_names_the_failed_allocation(monkeypatch):
     assert code == EXIT_BUDGET
     assert out == ""
     assert err == "error: out of memory (allocation failed); try a smaller input\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+def test_internal_error_exits_5(monkeypatch, fmt):
+    def broken(args):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setitem(cli._RUNNERS, "koszul", broken)
+    code, out, err = invoke(HEISENBERG + fmt)
+    assert code == EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "error: internal error (RuntimeError: runner broke)\n"
+
+
+def test_internal_error_while_rendering_prints_no_partial_report(monkeypatch):
+    def broken(report):
+        raise KeyError("verdict")
+
+    monkeypatch.setattr(cli, "_render_text", broken)
+    code, out, err = invoke(HEISENBERG)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal error (KeyError: 'verdict')\n"
+    assert invoke(HEISENBERG + ["--format", "json"])[0] == EXIT_OK
 
 
 def test_bockstein_sweep_over_budget_exits_4_quickly():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frattini import fplin
 from frattini.fplin import (
     BoundaryNotCycle,
     FpMatrix,
@@ -227,3 +228,69 @@ def test_kernel_basis_matches_reference(rng):
         rows, cols = rng.randint(0, 8), rng.randint(0, 12)
         m = FpMatrix(np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]).reshape(rows, cols), p)
         assert _as_lists(kernel_basis(m)) == _as_lists(reference_kernel_basis(m))
+
+
+# -- the quotient core given the cycles' echelon basis ------------------------
+
+
+def _low_rank_matrix(rng, p, rows, cols):
+    """A rows x cols matrix whose rows are random combinations of a few random
+    vectors, so its rank is often below both of its sides."""
+    basis = _random_vectors(rng, p, cols, rng.randint(0, min(rows, cols)))
+    return np.array(_combinations(rng, p, basis, cols, rows), dtype=np.int64).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_quotient_core_with_kernel_echelon_matches_public(rng, p):
+    for _ in range(60):
+        cols = rng.randint(1, 10)
+        m = FpMatrix(_low_rank_matrix(rng, p, rng.randint(0, 8), cols), p)
+        ker, free, piv = fplin._kernel(m)
+        assert _as_lists(ker) == _as_lists(kernel_basis(m))
+        assert piv == rref(m)[1] and free.tolist() == [c for c in range(cols) if c not in piv]
+        boundaries = _combinations(rng, p, list(ker), cols, rng.randint(0, cols + 2))
+        bnd = np.array(boundaries, dtype=np.int64).reshape(-1, cols)
+        before = ker.copy()
+        pairs, bnd_rref, bnd_pivots = fplin._quotient_pairs(ker, ker, free, bnd, p)
+        assert np.array_equal(ker, before)
+        assert _as_lists([v for _, v in pairs]) == _as_lists(quotient_representatives(list(ker), boundaries, p))
+        full, full_pivots = rref(FpMatrix(bnd, p))
+        assert bnd_pivots == full_pivots
+        assert bnd_rref.tolist() == full.entries[:len(full_pivots)].tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_quotient_core_with_kernel_echelon_names_the_boundary_not_cycle(rng, p):
+    checked = 0
+    for _ in range(60):
+        cols = rng.randint(2, 10)
+        m = FpMatrix(np.array(_random_vectors(rng, p, cols, rng.randint(1, 6))), p)
+        ker, free, _ = fplin._kernel(m)
+        if len(free) == cols:  # m is zero: every vector is a cycle
+            continue
+        boundaries = _combinations(rng, p, list(ker), cols, rng.randint(0, 4))
+        outside = np.array([rng.randrange(p) for _ in range(cols)], dtype=np.int64)
+        while not reference_quotient_representatives(list(ker) + [outside], list(ker), p):
+            outside = np.array([rng.randrange(p) for _ in range(cols)], dtype=np.int64)
+        boundaries.insert(rng.randint(0, len(boundaries)), outside)
+        with pytest.raises(BoundaryNotCycle) as want:
+            reference_quotient_representatives(list(ker), boundaries, p)
+        with pytest.raises(BoundaryNotCycle) as got:
+            fplin._quotient_pairs(ker, ker, free, np.array(boundaries, dtype=np.int64), p)
+        assert str(got.value) == str(want.value)
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_of_pivot_columns_equals_rref_of_all_columns(rng, p):
+    """The row space of a matrix's columns is spanned by its pivot columns, and
+    an RREF is unique, so both give the same RREF: why the boundary stack may
+    keep only the pivot columns of the previous block."""
+    for _ in range(60):
+        a = _low_rank_matrix(rng, p, rng.randint(0, 8), rng.randint(0, 10))
+        _, piv = rref(FpMatrix(a, p))
+        all_rref, all_pivots = rref(FpMatrix(a.T, p))
+        piv_rref, piv_pivots = rref(FpMatrix(a[:, piv].T, p))
+        assert piv_pivots == all_pivots
+        assert piv_rref.entries.tolist() == all_rref.entries[:len(piv)].tolist()

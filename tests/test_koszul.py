@@ -518,6 +518,80 @@ def test_class_from_cocycle_across_grades_matches_dense(make, rng):
     assert spread >= 5
 
 
+def spy_eliminations(monkeypatch):
+    """Count every ``fplin._echelon`` call and make ``fplin.solve`` raise."""
+    calls = [0]
+    echelon = fplin._echelon
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return echelon(*args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("fplin.solve called")
+
+    monkeypatch.setattr(fplin, "_echelon", counted)
+    monkeypatch.setattr(fplin, "solve", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: unp_complex(3, 7), generic_w5_r3_p7], ids=["u3", "generic"])
+def test_each_block_eliminated_at_most_twice_and_cups_eliminate_nothing(monkeypatch, make, rng):
+    c = make()
+    grade = koszul._grading(c)
+    blocks = sum(len(koszul._graded_basis(c, d, grade)) for d in range(c.top_degree + 1))
+    calls = spy_eliminations(monkeypatch)
+    table = betti(c)
+    assert 0 < calls[0] <= 2 * blocks
+    calls[0] = 0
+    products = 0
+    for a in table.classes(1):
+        for j in range(c.top_degree):
+            for b in table.classes(j):
+                products += not cup(a, b).is_zero()
+    for d in range(1, c.top_degree + 1):
+        z = differential(c, random_element(rng, c.ambient, d - 1, density=0.3))
+        for r in table.representatives[d]:
+            z = z + rng.randrange(c.p) * r
+        table.class_from_cocycle(z)
+    assert products > 0
+    assert calls[0] == 0
+
+
+def weight_graded_w4_r2_p5():
+    """Non-monomial quadratics, so the grade is the internal weight."""
+    amb = Ambient(4, 0, 5)
+    return KoszulComplex(4, 5, [parse("e1^e2 + 2 e3^e4", amb), parse("e1^e3 + e2^e4 + e1^e4", amb)])
+
+
+@pytest.mark.parametrize(
+    "make, multidegree",
+    [(weight_graded_w4_r2_p5, False), (generic_w5_r3_p7, False), (lambda: unp_complex(3, 5), True),
+     (lambda: unp_complex(4, 7), True)],
+    ids=["weight-w4", "weight-w5", "u3", "u4"],
+)
+def test_boundaries_do_not_change_a_class(make, multidegree, rng):
+    """class_from_cocycle(z + d(y)) == class_from_cocycle(z) for cocycles z
+    spread over several grades, and both equal the combination of
+    representatives z was made from."""
+    c = make()
+    assert is_multidegree(c) == multidegree
+    table = betti(c)
+    grade = koszul._grading(c)
+    spread = 0
+    for d in range(1, c.top_degree + 1):
+        for _ in range(3):
+            combo = c.ambient.zero()
+            for r in table.representatives[d]:
+                combo = combo + rng.randrange(c.p) * r
+            z = combo + differential(c, random_element(rng, c.ambient, d - 1, density=0.3))
+            shifted = z + differential(c, random_element(rng, c.ambient, d - 1, density=0.5))
+            spread += len({grade(key) for key in z._terms}) > 1
+            for cocycle in (z, shifted):
+                assert table.class_from_cocycle(cocycle, degree=d).representative == combo
+    assert spread >= 5
+
+
 def test_representatives_build_no_full_degree_matrix(monkeypatch):
     def refuse(c, d):
         raise AssertionError("full-degree matrix built")
