@@ -12,7 +12,8 @@ Exit codes: 0 success; 1 a verification disagreed where agreement is
 guaranteed; 2 Bockstein block not contained in the input subspace; 3 invalid
 input; 4 a resource limit was hit: the group enumeration budget (retry with
 --mode sampled), the Bockstein sweep budget (lower --max-degree) or the
-available memory (MemoryError, "error: out of memory").
+available memory (MemoryError, "error: out of memory"); 5 internal error (any
+other exception, "error: internal error (...)", nothing on stdout).
 
 Machine-readable output (--format json) is byte-identical for identical
 arguments and seed.  The only environment variable consulted is NO_COLOR.
@@ -99,7 +100,7 @@ def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
     """Returns (w, p, payload) where payload is a list of quadratics or a KInvariantSubspace."""
     path = args.input
     if path is not None:
-        if args.quadratic or args.w or args.p:
+        if args.quadratic or args.w is not None or args.p is not None:
             raise CliError(EXIT_BAD_INPUT, "give either an input file or inline -w/-p/--quadratic, not both")
         try:
             with open(path, "r", encoding="utf-8") as fh:

@@ -1,10 +1,18 @@
 """Exact dense linear algebra over the prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  Since the
-modulus is capped below 2**31, every product of two residues fits in int64
-and no intermediate value ever overflows.  All pivoting is deterministic
-(first nonzero entry, columns scanned left to right), so kernel bases and
-quotient representatives are reproducible byte for byte.
+Matrices are numpy int64 arrays with entries reduced to [0, p).  The
+modulus is capped below 2**31, so a product of two residues is at most
+(p - 1)**2 < 2**62.  Elimination subtracts such products from the entries
+without reducing them (delayed modular reduction): an entry that started as
+a residue and has taken j updates lies in [-j * (p - 1)**2, p).  ``_update``
+lets at most ``_budget(p)`` updates pile up and reduces mod p when one more
+could leave int64; the budget is 1 at p = 2**31 - 1, 8 at p = 10**9 + 7 and
+beyond any matrix size for small p.  Pivot tests, multipliers and pivot rows
+are always read reduced, and every result is returned reduced.  Nothing sums
+products (no ``@``, ``dot`` or ``einsum``): near p = 2**31 one such sum
+overflows.  All pivoting is deterministic (first nonzero entry, columns
+scanned left to right), so kernel bases and quotient representatives are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -110,14 +118,31 @@ class FpMatrix:
         return f"FpMatrix({self._a.tolist()!r}, p={int(self.p)})"
 
 
-def _subtract_multiples(x: np.ndarray, rows: np.ndarray, f: np.ndarray, row: np.ndarray, p: int) -> None:
-    """In place, x[rows[i]] -= f[i] * row mod p for every i.
+def _budget(p: int) -> int:
+    """Updates x -= f * row (f, row residues, so each subtracts at most
+    (p - 1)**2) that an array of residues takes without leaving int64, less one
+    for margin: at least 1 for every p below 2**31."""
+    return ((1 << 63) - 1 - p) // (p - 1) ** 2 - 1
 
-    Every entry is a residue below 2**31, so each product is below 2**62 and
-    fits in int64.  Nothing sums products (no ``@``, ``dot`` or ``einsum``):
-    near p = 2**31 such a sum overflows int64.
+
+def _update(x: np.ndarray, rows: np.ndarray, f: np.ndarray, row: np.ndarray, p: int, pending: int) -> int:
+    """In place, x[rows[i]] -= f[i] * row for every i; returns the new ``pending``.
+
+    ``f`` and ``row`` are residues; every entry of ``x`` has taken at most
+    ``pending`` unreduced updates since it was last a residue.  The one
+    overflow rule: when this update brings that count to ``_budget(p)``, the
+    next could overflow, so x is reduced mod p (only the written block when
+    no other update was pending) and the count restarts at 0.
     """
-    x[rows] = (x[rows] - np.outer(f, row)) % p
+    if pending + 1 < _budget(p):
+        x[rows] -= f[:, None] * row
+        return pending + 1
+    if pending:
+        x[rows] -= f[:, None] * row
+        np.remainder(x, p, out=x)
+    else:
+        x[rows] = (x[rows] - f[:, None] * row) % p
+    return 0
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
@@ -125,33 +150,38 @@ def _echelon(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
 
     Deterministic pivoting: columns scanned left to right, pivot is the first
     nonzero entry at or below the current row.  ``reduced`` eliminates above
-    the pivots as well (RREF); otherwise only below (enough for ranks).
+    the pivots as well (RREF); otherwise only below (enough for ranks and for
+    ``_reduce_rows``).  Either way pivot rows lead with 1.
     """
     R = a.copy()
     m, n = R.shape
     pivots: list[int] = []
-    r = 0
+    r = pending = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        base = 0 if reduced else r  # the rows this column's update may touch
+        col = R[base:, c] if not pending else R[base:, c] % p
+        nz = np.nonzero(col)[0]
+        j = int(np.searchsorted(nz, r)) if reduced else 0
+        if j == nz.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
+        lead = int(nz[j])
+        rows = nz[nz != lead] if j else nz[1:]
+        f = col[rows]
+        inv = pow(int(col[lead]), p - 2, p)
+        if base + lead != r:
+            R[[r, base + lead]] = R[[base + lead, r]]
+        if pending:
+            R[r] %= p
         if inv != 1:
             R[r] = R[r] * inv % p
-        if reduced:
-            rows = np.nonzero(R[:, c])[0]
-            rows = rows[rows != r]
-        else:
-            rows = r + 1 + np.nonzero(R[r + 1:, c])[0]
         if rows.size:
-            _subtract_multiples(R, rows, R[rows, c], R[r], p)
+            pending = _update(R[base:], rows, f, R[r], p, pending)
         pivots.append(c)
         r += 1
+    if pending:
+        np.remainder(R, p, out=R)
     return R, pivots
 
 
@@ -206,19 +236,23 @@ def solve(m: FpMatrix, b) -> np.ndarray | None:
 
 
 def _reduce_rows(w: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Reduce every row of ``w`` in place against an echelon ``basis``; returns ``w``.
+    """Reduce every row of residues ``w`` in place against an echelon ``basis``; returns ``w``.
 
-    ``basis`` row k is 1 in column ``pivots[k]`` and 0 in every later pivot
-    column: an echelon form with leading 1s, or a kernel basis on its free
-    columns.  Each row ends zero on ``pivots``, and zero exactly when it lies
-    in the row space; for an RREF basis it is the normal form defined in
+    ``basis`` row k is 1 in column ``pivots[k]`` and 0 in the pivot columns of
+    every earlier row, as the ascending loop needs: an echelon form with
+    leading 1s (reduced or not), or a kernel basis on its free columns.  Each
+    row ends zero on ``pivots``, and zero exactly when it lies in the row
+    space; for an RREF basis it is the normal form defined in
     ``quotient_representatives``.  One vectorised step per pivot.
     """
+    pending = 0
     for k, c in enumerate(pivots):
-        f = w[:, c]
+        f = w[:, c] if not pending else w[:, c] % p
         rows = np.nonzero(f)[0]
         if rows.size:
-            _subtract_multiples(w, rows, f[rows], basis[k], p)
+            pending = _update(w, rows, f[rows], basis[k], p, pending)
+    if pending:
+        np.remainder(w, p, out=w)
     return w
 
 
@@ -257,17 +291,21 @@ def _quotient_pairs(cyc, cyc_echelon, cyc_pivots, bnd, p):
     bnd_rref, bnd_pivots = _echelon(bnd, p, reduced=True)
     w = _reduce_rows(cyc.copy(), bnd_rref, bnd_pivots, p)
     reps: list[tuple[int, np.ndarray]] = []
+    pending = 0
     for i in range(len(w)):
-        nz = np.nonzero(w[i])[0]
+        rep = w[i] if not pending else w[i] % p
+        nz = np.nonzero(rep)[0]
         if nz.size == 0:
             continue
-        rep = w[i].copy()
+        if not pending:
+            rep = rep.copy()
         reps.append((i, rep))
         c = int(nz[0])
-        below = i + 1 + np.nonzero(w[i + 1:, c])[0]
+        col = w[i + 1:, c] if not pending else w[i + 1:, c] % p
+        below = np.nonzero(col)[0]
         if below.size:
-            f = w[below, c] * pow(int(rep[c]), p - 2, p) % p
-            _subtract_multiples(w, below, f, rep, p)
+            f = col[below] * pow(int(rep[c]), p - 2, p) % p
+            pending = _update(w[i + 1:], below, f, rep, p, pending)
 
     # dim(span(boundaries) + span(cycles)) = len(bnd_pivots) + len(reps); it
     # equals dim span(cycles) exactly when every boundary is a cycle.

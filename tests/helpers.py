@@ -8,7 +8,7 @@ import numpy as np
 from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, differential_matrix, fplin
 from frattini.bocksteindga import _mul_term_dicts
 from frattini.extalg import _basis_bits
-from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, rref, solve
+from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, solve
 from frattini.koszul import _block_matrix, _graded_basis, _grading
 from frattini.pgroups import VerificationReport
 
@@ -102,9 +102,30 @@ def reference_quotient_representatives(cycles, boundaries, p):
     return reps
 
 
+def reference_rref(m):
+    """``fplin.rref`` by Gauss-Jordan on Python integers, one entry at a time:
+    (the RREF's rows as lists, pivot columns)."""
+    p = int(m.p)
+    rows = [[int(x) for x in row] for row in m.entries]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                rows[k] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
 def reference_kernel_basis(m):
     """``fplin.kernel_basis`` back-substituted one coordinate at a time."""
-    red, piv = rref(m)
+    red, piv = reference_rref(m)
     out = []
     for f in range(m.cols):
         if f in piv:
@@ -112,7 +133,7 @@ def reference_kernel_basis(m):
         v = np.zeros(m.cols, dtype=np.int64)
         v[f] = 1
         for k, c in enumerate(piv):
-            v[c] = (-int(red.entries[k, f])) % m.p
+            v[c] = (-red[k][f]) % m.p
         out.append(v)
     return out
 

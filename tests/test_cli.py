@@ -153,9 +153,10 @@ def test_bad_input_exits_3(argv):
 def test_file_and_inline_conflict(tmp_path):
     path = tmp_path / "heis.json"
     path.write_text(json.dumps({"p": 5, "w": 2, "quadratics": [[[1, 2, 1]]]}))
-    code, _, err = invoke(["koszul", str(path), "-w", "2"])
-    assert code == EXIT_BAD_INPUT
-    assert "not both" in err
+    for inline in (["-w", "2"], ["-w", "0"], ["-p", "0"]):  # 0 is given, though falsy
+        code, _, err = invoke(["koszul", str(path)] + inline)
+        assert code == EXIT_BAD_INPUT, inline
+        assert "not both" in err
 
 
 def test_unreadable_and_malformed_files(tmp_path):

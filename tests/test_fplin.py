@@ -14,7 +14,7 @@ from frattini.fplin import (
     solve,
 )
 
-from helpers import reference_kernel_basis, reference_quotient_representatives
+from helpers import _Echelon, reference_kernel_basis, reference_quotient_representatives, reference_rref
 
 
 def test_prime_accepts_odd_primes():
@@ -294,3 +294,91 @@ def test_rref_of_pivot_columns_equals_rref_of_all_columns(rng, p):
         piv_rref, piv_pivots = rref(FpMatrix(a[:, piv].T, p))
         assert piv_pivots == all_pivots
         assert piv_rref.entries.tolist() == all_rref.entries[:len(piv)].tolist()
+
+
+# -- reduction against a non-reduced echelon basis ----------------------------
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduce_rows_against_non_reduced_echelon(rng, p):
+    """A non-reduced echelon basis has nonzeros above its later pivots; it is 0
+    only at the pivots of earlier rows, which is all the ascending loop needs."""
+    for _ in range(60):
+        cols = rng.randint(1, 10)
+        a = _low_rank_matrix(rng, p, rng.randint(0, 8), cols)
+        basis, pivots = fplin._echelon(a, p, reduced=False)
+        span = _Echelon(p)
+        for v in a:
+            span.add(v)
+        inside = _combinations(rng, p, list(a), cols, rng.randint(0, 4))
+        w = np.array(inside + _random_vectors(rng, p, cols, rng.randint(0, 4)), dtype=np.int64).reshape(-1, cols)
+        before = w.copy()
+        out = fplin._reduce_rows(w, basis, pivots, p)
+        assert out is w
+        assert not w[:, pivots].any()
+        assert ((w >= 0) & (w < p)).all()
+        for v, reduced in zip(before, w):
+            assert reduced.any() == span.reduce(v).any()
+
+
+# -- the delayed-reduction budget ---------------------------------------------
+
+SMALL_BUDGET_PRIMES = (1_000_000_007, 2147483647)
+
+
+def test_budget():
+    assert fplin._budget(1_000_000_007) == 8
+    assert fplin._budget(2147483647) == 1
+    assert fplin._budget(11) > 1 << 50
+    for p in (3, 11, 46337, 1_000_000_007, 1_500_000_001, 1_750_000_027, 2147483629, 2147483647):
+        b = fplin._budget(Prime(p))
+        assert b >= 1
+        # b updates from a residue, and one more for margin, stay inside int64
+        assert (b + 1) * (p - 1) ** 2 + p <= 2**63 - 1
+
+
+def _worst_case(p, m, n):
+    """An m x n matrix L @ [U | V] mod p: L unit lower triangular and U unit upper
+    triangular, both -1 off the diagonal, and V all -1.  Its elimination without
+    row swaps meets multiplier p - 1 and pivot-row entries p - 1 at every step,
+    so each update subtracts the most, (p - 1)**2, and row i takes i of them."""
+    lower = np.tril(np.full((m, m), -1), -1) + np.eye(m, dtype=np.int64)
+    upper = np.triu(np.full((m, m), -1), 1) + np.eye(m, dtype=np.int64)
+    return (lower @ np.concatenate([upper, np.full((m, n - m), -1)], axis=1)) % p
+
+
+def _small_budget_cases(p):
+    """(name, computed, reference) for every public elimination on worst-case
+    inputs with more pivots than the budget allows unreduced updates."""
+    m, n = 16, 20
+    a = _worst_case(p, m, n)
+    stacked = FpMatrix(np.concatenate([a, (a[:-1] + a[1:]) % p]), p)
+    # boundaries: an RREF that is p - 1 on its free columns; every cycle is p - 1
+    # on the pivots, so reducing it subtracts (p - 1)**2 m times, and what is left
+    # is ``a``, whose forward pass is the worst case again
+    bnd = np.concatenate([np.eye(m, dtype=np.int64), np.full((m, n), p - 1)], axis=1)
+    cyc = np.concatenate([bnd, np.concatenate([np.full((m, m), p - 1), (a + m) % p], axis=1)])
+    got_red, got_piv = rref(stacked)
+    red, piv = reference_rref(stacked)
+    return [
+        ("rank", rank(stacked), len(piv)),
+        ("rref", (got_red.entries.tolist(), got_piv), (red, piv)),
+        ("kernel_basis", _as_lists(kernel_basis(stacked)), _as_lists(reference_kernel_basis(stacked))),
+        ("quotient_representatives", _as_lists(quotient_representatives(list(cyc), list(bnd), p)),
+         _as_lists(reference_quotient_representatives(list(cyc), list(bnd), p))),
+    ]
+
+
+@pytest.mark.parametrize("p", SMALL_BUDGET_PRIMES)
+def test_small_budgets_match_references(p):
+    for name, got, want in _small_budget_cases(p):
+        assert got == want, name
+
+
+@pytest.mark.parametrize("p", SMALL_BUDGET_PRIMES)
+def test_small_budget_cases_overflow_without_mid_loop_reduction(p, monkeypatch):
+    """Reducing only at the end of each loop gets every case wrong: the cases
+    above really need the mid-loop reduction."""
+    monkeypatch.setattr(fplin, "_budget", lambda p: 1 << 62)
+    for name, got, want in _small_budget_cases(p):
+        assert got != want, name
