@@ -27,6 +27,10 @@ that the group guards:
   ranks-only Betti numbers of single-monomial complete complexes were computed
   one block per S_w orbit of multidegrees (at p = 3, U(5)'s dimensions depend on
   p, so the second file pins that path where torsion shows).
+* ``unp_n6_p3_json.out``: at commit b7b230d, before the orbit blocks were
+  ranked once per Poincare-dual pair; U(6) at p = 3 shows torsion (b_4 = 1742
+  against the oracle's 1616) and has the self-dual blocks that no other golden
+  pins.
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
@@ -85,6 +89,7 @@ CLI_CASES = {
     ],
     "unp_n6_json": ["unp", "-n", "6", "--format", "json"],
     "unp_n5_p3_json": ["unp", "-n", "5", "-p", "3", "--format", "json"],
+    "unp_n6_p3_json": ["unp", "-n", "6", "-p", "3", "--format", "json"],
 }
 
 
