@@ -25,7 +25,9 @@ When the quadratics are single monomials c_t e_a e_b covering every pair
 on the complex by chain automorphisms, so blocks of permuted multidegrees have
 equal rank.  Ranks-only Betti numbers then rank one block per orbit, the one
 of non-increasing multidegree, generated directly from the x-masks bucketed by
-degree sequence, and weight it by the orbit size.
+degree sequence, and weight it by the orbit size.  Of each pair of those
+blocks made dual by the top-class pairing, which d never reaches, only one is
+ranked.
 """
 
 from __future__ import annotations
@@ -329,6 +331,15 @@ def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
     of non-increasing mu are built, each from the x-masks T whose degree
     sequence is mu - 1_S, and each rank counts w!/prod m_k! times, m_k being
     the multiplicities of the entries of mu.
+
+    Poincare duality (Lambrechts and Stanley, Ann. Sci. ENS 41, 2008) halves
+    that: the top coefficient of a b pairs each key with +-its complement, mu
+    with w - mu, and d never reaches the top class (the only key of weight
+    w + 2r), so d_(top-1-d) is +-the transpose of the derivation d_d.  The
+    block of d_d at mu has the rank of the block of d_(top-1-d) at
+    mu* = (w - mu) reversed, with the multiplicities of mu.  A mu* met after
+    mu copies its ranks with d -> top-1-d and builds nothing; a self-dual mu
+    ranks only d <= top-1-d.
     """
     w = c.w
     x_degrees = [(0,) * w]
@@ -341,17 +352,30 @@ def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
         x_degrees.append(tuple(deg))
         by_degree.setdefault(x_degrees[xb], []).append(xb)
     e_degrees = [tuple(eb >> i & 1 for i in range(w)) for eb in range(1 << w)]
-    ranks = [0] * (c.top_degree + 1)
+    top = c.top_degree
+    ranks = [0] * (top + 1)
+    dual_ranks: dict[tuple, dict[int, int]] = {}  # block ranks by d of each mu whose mu* is to come
     for mu in combinations_with_replacement(range(w, -1, -1), w):
+        orbit = factorial(w) // prod(map(factorial, Counter(mu).values()))
+        mu_star = tuple(w - m for m in reversed(mu))
+        if mu_star in dual_ranks:
+            for d, rank in dual_ranks.pop(mu_star).items():
+                ranks[top - 1 - d] += orbit * rank
+            continue
         by_d: dict[int, list] = {}
         for eb, e_deg in enumerate(e_degrees):
             xbs = by_degree.get(tuple(map(sub, mu, e_deg)))
             if xbs:  # every T in one bucket has |T| = |mu - 1_S| / 2, so one degree
                 by_d.setdefault(eb.bit_count() + xbs[0].bit_count(), []).extend((eb, xb) for xb in xbs)
-        orbit = factorial(w) // prod(map(factorial, Counter(mu).values()))
+        block_ranks = {}
         for d, keys in by_d.items():
-            if d + 1 in by_d:
-                ranks[d] += orbit * fplin.rank(_block_matrix(c, keys, by_d[d + 1]))
+            if d + 1 in by_d and (mu_star != mu or 2 * d <= top - 1):
+                block_ranks[d] = rank = fplin.rank(_block_matrix(c, keys, by_d[d + 1]))
+                ranks[d] += orbit * rank
+                if mu_star == mu and 2 * d < top - 1:
+                    ranks[top - 1 - d] += orbit * rank
+        if mu_star != mu:
+            dual_ranks[mu] = block_ranks
     return ranks
 
 
@@ -468,7 +492,8 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     representatives, ranks are summed over the blocks and nothing is kept;
     when the quadratics are single monomials over every pair {a, b} once,
     only one block per S_w orbit of multidegrees is ranked, weighted by the
-    orbit size (``_orbit_ranks``).
+    orbit size, and of those one of each Poincare-dual pair, as the top-class
+    pairing makes d_(w+r-1-d) +-the transpose of d_d (``_orbit_ranks``).
     With them, each block's kernel basis is reduced modulo the RREF of its
     incoming boundaries (the pivot columns of the previous degree's block), as
     ``fplin.quotient_representatives`` does, and the representatives are

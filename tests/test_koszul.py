@@ -715,28 +715,81 @@ def test_outside_the_symmetric_case_every_block_is_ranked(monkeypatch, make):
     assert calls == {"orbit": 0, "rank": blocks}
 
 
+def sorted_block_ranks(c):
+    """rank(d_d) on every (d, mu) block of non-increasing mu that has a codomain, built from
+    ``_graded_basis`` and ``_grading`` alone."""
+    grade = koszul._grading(c)
+    ranks = {}
+    cod = koszul._graded_basis(c, 0, grade)
+    for d in range(c.top_degree + 1):
+        dom, cod = cod, koszul._graded_basis(c, d + 1, grade)
+        for g, keys in dom.items():
+            if g in cod and list(g) == sorted(g, reverse=True):
+                ranks[d, g] = fplin.rank(koszul._block_matrix(c, keys, cod[g]))
+    return ranks
+
+
+def dual_block(c, d, mu):
+    """The Poincare-dual block of (d, mu): degree w + r - 1 - d, multidegree (w - mu) reversed."""
+    return c.top_degree - 1 - d, tuple(c.w - m for m in reversed(mu))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: unp_complex(2, 5),
+        lambda rng: unp_complex(4, 11),
+        lambda rng: unp_complex(5, 3),
+        lambda rng: unp_complex(5, 17),
+        lambda rng: complete_monomial_complex(rng, 4, 3),
+        lambda rng: complete_monomial_complex(rng, 4, 2147483647),
+        lambda rng: complete_monomial_complex(rng, 5, 3),
+        lambda rng: complete_monomial_complex(rng, 5, 2147483647),
+    ],
+    ids=["unp2_p5", "unp4_p11", "unp5_p3", "unp5_p17", "w4_p3", "w4_pmax", "w5_p3", "w5_pmax"],
+)
+def test_every_sorted_block_has_the_rank_of_its_poincare_dual(rng, make):
+    c = make(rng)
+    ranks = sorted_block_ranks(c)
+    assert ranks
+    for (d, mu), r in ranks.items():
+        assert ranks.get(dual_block(c, d, mu)) == r, (d, mu)
+
+
+def test_unp2_has_a_self_dual_block():
+    c = unp_complex(2, 5)
+    assert dual_block(c, 1, (1, 1)) == (1, (1, 1))
+    assert sorted_block_ranks(c)[1, (1, 1)] == 1  # d(x_1) = e_1 e_2
+
+
 def test_orbit_ranks_one_block_per_sorted_multidegree(monkeypatch):
-    """U(5) ranks the 152 (degree, non-increasing multidegree) blocks, not all 3308."""
+    """U(5) ranks 76 of its 152 (degree, non-increasing multidegree) blocks, one per
+    Poincare-dual pair, not all 3308."""
     c = unp_complex(5, 17)
     grade = koszul._grading(c)
-    blocks = sorted_blocks = 0
+    blocks = 0
+    sorted_blocks = set()
     for d in range(c.top_degree + 1):
         cod = koszul._graded_basis(c, d + 1, grade)
         for g in koszul._graded_basis(c, d, grade):
             if g in cod:
                 blocks += 1
-                sorted_blocks += list(g) == sorted(g, reverse=True)
-    assert (blocks, sorted_blocks) == (3308, 152)
+                if list(g) == sorted(g, reverse=True):
+                    sorted_blocks.add((d, g))
+    self_dual = sum(dual_block(c, d, g) == (d, g) for d, g in sorted_blocks)
+    assert (blocks, len(sorted_blocks), self_dual) == (3308, 152, 0)
+    assert all(dual_block(c, d, g) in sorted_blocks for d, g in sorted_blocks)
     calls = spy_orbit_path(monkeypatch)
     betti(c, with_representatives=False)
-    assert calls == {"orbit": 1, "rank": sorted_blocks}
+    assert calls == {"orbit": 1, "rank": (len(sorted_blocks) + self_dual) // 2}
 
 
 def test_unp6_ranks_match_oracle_quickly(monkeypatch):
+    """U(6) ranks (696 sorted + 8 self-dual blocks) / 2 = 352 blocks."""
     c = unp_complex(6, 17)
     calls = spy_orbit_path(monkeypatch)
     start = time.perf_counter()
     dims = betti(c, with_representatives=False).dims
     assert time.perf_counter() - start < 20
     assert list(dims) == unp_betti(6)
-    assert calls == {"orbit": 1, "rank": 696}
+    assert calls == {"orbit": 1, "rank": 352}
