@@ -261,10 +261,8 @@ def _add_beta_term(out: dict, amb: Generators, mask: int, exps: tuple[int, ...],
             out[key] = out.get(key, 0) + coeff * c_s * _merge_sign(mask, xbit)
 
 
-def bockstein(a: BigradedElement, p=None) -> BigradedElement:
+def bockstein(a: BigradedElement) -> BigradedElement:
     """Apply the Bockstein derivation; requires p > 3 per the stated formulas."""
-    if p is not None and as_prime(p) != a.ambient.p:
-        raise ValueError(f"element lives over p = {int(a.ambient.p)}, not {int(as_prime(p))}")
     if a.ambient.p <= 3:
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
     out: dict = {}

@@ -164,12 +164,16 @@ def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
     return w, p, quads
 
 
+def _check_truncation(truncation: int | None) -> None:
+    """Refuse a negative ``--truncate``; each runner calls this before computing."""
+    if truncation is not None and truncation < 0:
+        raise CliError(EXIT_BAD_INPUT, "truncation degree must be nonnegative")
+
+
 def _series_report(q: series.PoincarePolynomial, w: int, r: int, truncation: int | None) -> dict:
     """Expansion of q(t) / (1 - t^2)^(w+r) and the numerator checks; the
     truncation degree defaults to 2(w + r)."""
     truncate = 2 * (w + r) if truncation is None else truncation
-    if truncate < 0:
-        raise CliError(EXIT_BAD_INPUT, "truncation degree must be nonnegative")
     s = series.PoincareSeries(q, w + r)
     chk = series.checks(q, w, r)
     return {
@@ -241,6 +245,7 @@ def _complex_report(
 def run_koszul(args: argparse.Namespace) -> tuple[dict, int]:
     if args.max_reps < 0:
         raise CliError(EXIT_BAD_INPUT, "--max-reps must be nonnegative")
+    _check_truncation(args.truncate)
     w, p, payload = _load_koszul_input(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -267,6 +272,7 @@ def run_koszul(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_unp(args: argparse.Namespace) -> tuple[dict, int]:
+    _check_truncation(args.truncate)
     n = args.n
     if n < 1:
         raise CliError(EXIT_BAD_INPUT, "n must be at least 1")
@@ -408,6 +414,7 @@ def run_series(args: argparse.Namespace) -> tuple[dict, int]:
         q = series.PoincarePolynomial(tuple(numerator))
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    _check_truncation(args.truncate)
     report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, args.truncate)}
     return report, EXIT_OK
 

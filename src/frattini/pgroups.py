@@ -9,7 +9,10 @@ multiply-by-p lift of least residues,
 An optional subspace S of the mod-p quotient carves out the subgroup
 pi^(-1)(S) of order p^(n' + dim S); without it the group is all of K with
 order p^(2n').  Always x^p = p x, so the elements of order dividing p are
-exactly p K and every one of them is central.
+exactly p K and every one of them is central.  Every commutator and p-th power
+lies in p K as well, so the Frattini subgroup is an F_p subspace of p K and
+its order is p to an F_p rank.  That rank and membership in S are the only
+reductions here, and both go through ``fplin``.
 
 Batch verification runs on int64 numpy arrays.  One product kernel,
 ``PGroup._mult_rows``, serves every check: it sums c * x_i * y_j over the
@@ -141,38 +144,16 @@ def _all_vectors(p: int, k: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, k)
 
 
-def _module_log_order(rows: np.ndarray, p: int) -> int:
-    """log_p of the order of the Z/p^2 submodule spanned by the rows.
+def _pk_log_order(rows: np.ndarray, p: int) -> int:
+    """log_p of the order of the subgroup of p K that the rows generate.
 
-    Two-stage elimination: unit pivots first (each a Z/p^2 summand), then the
-    remaining rows, all divisible by p, are divided by p and ranked mod p.
+    p K is elementary abelian, so that order is p to the F_p rank of rows / p.
+    Every commutator and p-th power lies in p K; any other row is a bug.
     """
-    q = p * p
-    A = np.mod(np.asarray(rows, dtype=np.int64), q)
-    if A.size == 0:
-        return 0
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        unit = np.nonzero(A[r:, c] % p)[0]
-        if unit.size == 0:
-            continue
-        i = r + int(unit[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, q)
-        A[r] = A[r] * inv % q
-        below = r + 1 + np.nonzero(A[r + 1:, c])[0]
-        if below.size:
-            A[below] = (A[below] - np.outer(A[below, c], A[r])) % q
-        r += 1
-    k1 = r
-    rest = A[k1:]
-    assert not (rest % p).any(), "stage-1 leftovers must be divisible by p"
-    k2 = fplin.rank(FpMatrix(rest // p, p)) if rest.size else 0
-    return 2 * k1 + k2
+    rows = np.asarray(rows, dtype=np.int64)
+    if (rows % p).any():
+        raise AssertionError("Frattini generators must lie in p K")
+    return fplin.rank(FpMatrix(rows // p, p))
 
 
 @dataclass(frozen=True)
@@ -213,8 +194,8 @@ class PGroup:
             self._s_basis = np.eye(n, dtype=np.int64)
         else:
             rows = np.mod(np.asarray(list(constraint), dtype=np.int64).reshape(-1, n), self.p)
-            red, piv = fplin.rref(FpMatrix(rows, self.p))
-            self._s_basis = red.entries[: len(piv)].copy()
+            red, self._s_pivots = fplin.rref(FpMatrix(rows, self.p))
+            self._s_basis = red.entries[: len(self._s_pivots)].copy()
         self.s_dim = self._s_basis.shape[0]
         self.constrained = constraint is not None
 
@@ -228,10 +209,7 @@ class PGroup:
         """Boolean mask: which rows reduce into S mod p."""
         if not self.constrained:
             return np.ones(rows.shape[0], dtype=bool)
-        red = np.mod(rows, self.p)
-        for basis_row in self._s_basis:
-            c = int(np.nonzero(basis_row)[0][0])
-            red = (red - np.outer(red[:, c], basis_row)) % self.p
+        red = fplin._reduce_rows(np.mod(rows, self.p), self._s_basis, self._s_pivots, self.p)
         return ~red.any(axis=1)
 
     def contains(self, x: PGroupElement) -> bool:
@@ -339,8 +317,8 @@ class PGroup:
             c = self.multiply(self.multiply(self.multiply(a, b), self.inverse(a)), self.inverse(b))
             comms.append(c.coords)
         powers = [self.power(g, int(self.p)).coords for g in gens]
-        comm_rank = _module_log_order(np.array(comms or np.zeros((0, self.algebra.gen_count))), self.p)
-        frat_log = _module_log_order(np.array(list(comms) + powers), self.p)
+        comm_rank = _pk_log_order(np.array(comms or np.zeros((0, self.algebra.gen_count))), self.p)
+        frat_log = _pk_log_order(np.array(list(comms) + powers), self.p)
         if any(any(c % self.p for c in g.coords) for g in gens):
             exponent = self.q
         elif self.order > 1:
@@ -370,6 +348,8 @@ class PGroup:
         the elements.  A product missing there fails closure, hence
         associativity.  Identity, inverses and centrality are checked with
         ``_mult_rows`` on the elements (or on the sampled rows) in every mode.
+        Exhaustive mode counts Omega_1 among the elements; sampled mode counts
+        nothing and reports rank n', as Omega_1 = p K.
         """
         if mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -435,7 +415,7 @@ class PGroup:
             omegas = (self.p * self._sample_rows(rng, triples)) % self.q
             pc_ok = np.array_equal(self._mult_rows(omegas, ys), self._mult_rows(ys, omegas))
             pc_pairs = triples
-            omega1_rank = _module_log_order(self.p * np.eye(n, dtype=np.int64), self.p)
+            omega1_rank = n  # Omega_1 = p K
             report_mode = "sampled"
 
         return VerificationReport(

@@ -121,16 +121,15 @@ def hook_content_dimension(part: SelfConjugatePartition, n: int) -> int:
     return int(acc)
 
 
-def unp_betti(n: int, *, n_cap: int = DEFAULT_N_CAP) -> list[int]:
+def unp_betti(n: int) -> list[int]:
     """Dimensions a_0..a_m for the universal extension on n generators, m = C(n+1, 2).
 
-    Capped at n <= n_cap (default 8) since the diagram count grows quickly;
-    pass a larger cap explicitly to go beyond.
+    Capped at n <= DEFAULT_N_CAP (8) since the diagram count grows quickly.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > n_cap:
-        raise ValueError(f"n = {n} exceeds the cap {n_cap}; pass n_cap explicitly to override")
+    if n > DEFAULT_N_CAP:
+        raise ValueError(f"n = {n} exceeds the cap {DEFAULT_N_CAP}")
     m = comb(n + 1, 2)
     out = [0] * (m + 1)
     out[0] = 1

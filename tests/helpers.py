@@ -226,6 +226,51 @@ def reference_mult_rows_outer(group, a, b):
     return ((a[:, None, :] + b[None, :, :]) % group.q + group.p * br) % group.q
 
 
+def reference_module_log_order(rows, p):
+    """log_p of the order of the Z/p^2 submodule spanned by the rows.
+
+    Two-stage elimination: unit pivots first (each a Z/p^2 summand), then the
+    remaining rows, all divisible by p, are divided by p and ranked mod p.
+    """
+    q = p * p
+    A = np.mod(np.asarray(rows, dtype=np.int64), q)
+    if A.size == 0:
+        return 0
+    m, n = A.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        unit = np.nonzero(A[r:, c] % p)[0]
+        if unit.size == 0:
+            continue
+        i = r + int(unit[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        inv = pow(int(A[r, c]), -1, q)
+        A[r] = A[r] * inv % q
+        below = r + 1 + np.nonzero(A[r + 1:, c])[0]
+        if below.size:
+            A[below] = (A[below] - np.outer(A[below, c], A[r])) % q
+        r += 1
+    k1 = r
+    rest = A[k1:]
+    assert not (rest % p).any(), "stage-1 leftovers must be divisible by p"
+    k2 = fplin.rank(FpMatrix(rest // p, p)) if rest.size else 0
+    return 2 * k1 + k2
+
+
+def reference_member_rows(group, rows):
+    """``PGroup._member_rows`` by one outer-product step per basis row of S."""
+    if not group.constrained:
+        return np.ones(rows.shape[0], dtype=bool)
+    red = np.mod(rows, group.p)
+    for basis_row in group._s_basis:
+        c = int(np.nonzero(basis_row)[0][0])
+        red = (red - np.outer(red[:, c], basis_row)) % group.p
+    return ~red.any(axis=1)
+
+
 def reference_exhaustive_report(group):
     """``group.verify(mode="exhaustive")`` for order^3 <= 1e8, one z at a time.
 

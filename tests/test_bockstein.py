@@ -80,12 +80,6 @@ def test_prime_too_small():
         verify_differential(2, 3, 4)
 
 
-def test_wrong_prime_argument():
-    with pytest.raises(ValueError):
-        bockstein(G.zeta_pair(1, 2), 7)
-    assert bockstein(G.zeta_pair(1, 2), 5) == bockstein(G.zeta_pair(1, 2))
-
-
 def test_restriction_kills_the_ideal():
     assert restrict_to_unp(G.x_pair(1, 2)).is_zero()
     assert restrict_to_unp(G.x(1) * G.x(2)).is_zero()

@@ -375,6 +375,8 @@ def test_json_output_is_deterministic(argv):
     [
         HEISENBERG + ["--truncate", "-3"],
         ["unp", "-n", "2", "--truncate", "-1"],
+        ["unp", "-n", "6", "--truncate", "-1"],
+        ["koszul", "-w", "7", "-p", "11", "-q", "e1^e2", "-q", "e3^e4", "--full", "--truncate", "-1"],
         ["series", "--numerator", "1,2,2,1", "-w", "2", "-r", "1", "--truncate", "-1"],
         HEISENBERG + ["--max-reps", "-1"],
         ["bockstein", "-n", "2", "-p", "5", "--max-degree", "-1"],
@@ -382,7 +384,11 @@ def test_json_output_is_deterministic(argv):
         ["group", "-n", "1", "-p", "3", "--mode", "sampled", "--triples", "0"],
     ],
 )
-def test_out_of_range_counts_exit_3(argv):
+def test_out_of_range_counts_exit_3(argv, monkeypatch):
+    def betti_reached(*args, **kwargs):
+        raise AssertionError("betti ran before the arguments were checked")
+
+    monkeypatch.setattr(koszul, "betti", betti_reached)
     code, out, err = invoke(argv)
     assert code == EXIT_BAD_INPUT
     assert out == ""

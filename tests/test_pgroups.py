@@ -18,7 +18,12 @@ from frattini.pgroups import (
     free_two_step,
     unp_group,
 )
-from helpers import reference_exhaustive_report, reference_mult_rows
+from helpers import (
+    reference_exhaustive_report,
+    reference_member_rows,
+    reference_module_log_order,
+    reference_mult_rows,
+)
 
 
 def test_free_two_step_shape():
@@ -256,6 +261,38 @@ def test_mult_rows_matches_reference(kind, size, p):
         (x[:, None, :], y[None, :, :]),  # Cayley table
     ):
         assert np.array_equal(g._mult_rows(a, b), reference_mult_rows(g, a, b)), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_pk_log_order_matches_reference(p):
+    rng = np.random.default_rng(p)
+    for m, n in ((0, 3), (1, 1), (1, 4), (3, 4), (4, 4), (6, 3)):
+        rows = p * rng.integers(0, p, size=(m, n))
+        cases = [rows, np.zeros((m, n), dtype=np.int64)]
+        if m >= 2:  # append a combination of the first two rows, and a repeat
+            mixed = (2 * rows[0] + (p - 1) * rows[1]) % (p * p)
+            cases.append(np.concatenate([rows, [mixed], rows[:1]]))
+        for case in cases:
+            assert pgroups._pk_log_order(case, p) == reference_module_log_order(case, p), case
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_pk_log_order_rejects_rows_outside_pk(p):
+    with pytest.raises(AssertionError):
+        pgroups._pk_log_order(np.array([[p, 0], [p, 1]]), p)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+@pytest.mark.parametrize("shape", ((2, 1), (4, 2), (6, 3), (7, 2)))
+def test_member_rows_matches_reference(shape, p):
+    g = _dense_group(*shape, p, constrained=True)
+    rng = np.random.default_rng([p, *shape])
+    on = g._sample_rows(rng, 30)
+    off = rng.integers(0, g.q, size=(30, g.algebra.gen_count))
+    rows = np.concatenate([on, off])
+    got = g._member_rows(rows)
+    assert np.array_equal(got, reference_member_rows(g, rows))
+    assert got[:30].all() and not got[30:].all()
 
 
 _ODD_PRIMES_TO_19 = (3, 5, 7, 11, 13, 17, 19)
