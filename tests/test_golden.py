@@ -31,6 +31,13 @@ that the group guards:
   ranked once per Poincare-dual pair; U(6) at p = 3 shows torsion (b_4 = 1742
   against the oracle's 1616) and has the self-dual blocks that no other golden
   pins.
+* ``group_n4_p7_sampled_json.out``, ``group_n2_p3_exhaustive_json.out``,
+  ``group_n2_p5_json.out`` and ``group_g_n2_p46337_sampled_json.out``: at
+  commit a01b4e0, before ``PGroup`` took residues by floor division, reduced
+  only the bracket columns and formed its commutators and p-th powers as
+  stacked rows.  The first is the bench job; the third is ``auto`` mode with
+  exhaustive centrality and sampled triples (order^3 > 1e8); the last has p at
+  ``_PGROUP_PRIME_CAP``, where residues come closest to the int64 bound.
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over
@@ -90,6 +97,13 @@ CLI_CASES = {
     "unp_n6_json": ["unp", "-n", "6", "--format", "json"],
     "unp_n5_p3_json": ["unp", "-n", "5", "-p", "3", "--format", "json"],
     "unp_n6_p3_json": ["unp", "-n", "6", "-p", "3", "--format", "json"],
+    "group_n4_p7_sampled_json": ["group", "-n", "4", "-p", "7", "--mode", "sampled", "--seed", "0", "--format", "json"],
+    "group_n2_p3_exhaustive_json": ["group", "-n", "2", "-p", "3", "--mode", "exhaustive", "--format", "json"],
+    "group_n2_p5_json": ["group", "-n", "2", "-p", "5", "--format", "json"],
+    "group_g_n2_p46337_sampled_json": [
+        "group", "-n", "2", "-p", "46337", "--group", "g", "--mode", "sampled", "--triples", "2000", "--seed", "1",
+        "--format", "json",
+    ],
 }
 
 
