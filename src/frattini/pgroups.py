@@ -16,9 +16,11 @@ reductions here, and both go through ``fplin``.
 
 Batch verification runs on int64 numpy arrays.  One product kernel,
 ``PGroup._mult_rows``, serves every check: it sums c * x_i * y_j over the
-nonzero structure constants [b_i, b_j]_k = c only.  The modulus is capped and
-those constants are counted, so every intermediate stays exact.  Small groups
-have associativity checked on every triple of their Cayley table.
+nonzero structure constants [b_i, b_j]_k = c only, and reduces mod p only the
+columns those read.  Residues are x - m (x // m) (``_mod``): numpy divides by a
+scalar far faster than it takes ``%``.  The modulus is capped and those
+constants are counted, so every intermediate stays exact.  Small groups have
+associativity checked on every triple of their Cayley table.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ _PGROUP_PRIME_CAP = 46337
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_TRIPLES = 10 ** 5
 ASSOC_EXHAUSTIVE_BUDGET = 10 ** 8
+
+
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """``x % m`` for int64 x, as x - m (x // m) on a new array; x is not written."""
+    r = x // m
+    r *= -m
+    r += x
+    return r
 
 
 def _check_bracket_bound(terms: int, p: int) -> None:
@@ -151,7 +161,7 @@ def _pk_log_order(rows: np.ndarray, p: int) -> int:
     Every commutator and p-th power lies in p K; any other row is a bug.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if (rows % p).any():
+    if _mod(rows, p).any():
         raise AssertionError("Frattini generators must lie in p K")
     return fplin.rank(FpMatrix(rows // p, p))
 
@@ -185,15 +195,16 @@ class PGroup:
             )
         self.q = int(self.p) ** 2
         n = algebra.gen_count
-        table = np.mod(np.array(algebra.bracket, dtype=np.int64).reshape(n, n, n), self.p)
+        table = _mod(np.array(algebra.bracket, dtype=np.int64).reshape(n, n, n), self.p)
         if n:
             _check_bracket_bound(int(np.count_nonzero(table, axis=(0, 1)).max()), int(self.p))
         # The nonzero structure constants [b_i, b_j]_k = c as (i, j, k, c).
         self._terms = [(i, j, k, int(table[i, j, k])) for i, j, k in np.argwhere(table).tolist()]
+        self._span = 1 + max((max(i, j) for i, j, _, _ in self._terms), default=-1)  # columns read
         if constraint is None:
             self._s_basis = np.eye(n, dtype=np.int64)
         else:
-            rows = np.mod(np.asarray(list(constraint), dtype=np.int64).reshape(-1, n), self.p)
+            rows = _mod(np.asarray(list(constraint), dtype=np.int64).reshape(-1, n), self.p)
             red, self._s_pivots = fplin.rref(FpMatrix(rows, self.p))
             self._s_basis = red.entries[: len(self._s_pivots)].copy()
         self.s_dim = self._s_basis.shape[0]
@@ -209,7 +220,7 @@ class PGroup:
         """Boolean mask: which rows reduce into S mod p."""
         if not self.constrained:
             return np.ones(rows.shape[0], dtype=bool)
-        red = fplin._reduce_rows(np.mod(rows, self.p), self._s_basis, self._s_pivots, self.p)
+        red = fplin._reduce_rows(_mod(rows, self.p), self._s_basis, self._s_pivots, self.p)
         return ~red.any(axis=1)
 
     def contains(self, x: PGroupElement) -> bool:
@@ -219,7 +230,7 @@ class PGroup:
         coords = np.asarray(x.coords, dtype=np.int64)
         if coords.shape != (self.algebra.gen_count,):
             raise ValueError(f"expected {self.algebra.gen_count} coordinates")
-        return np.mod(coords, self.q).reshape(1, -1)
+        return _mod(coords, self.q).reshape(1, -1)
 
     def element(self, coords) -> PGroupElement:
         """Normalize coordinates mod p^2; raises ConstraintViolation off S."""
@@ -234,39 +245,45 @@ class PGroup:
     # -- group operations -------------------------------------------------
 
     def _mult_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched product of row arrays (broadcastable shapes); the bracket
-        costs one multiply-add per nonzero structure constant."""
-        ra = a % self.p
-        rb = b % self.p
+        """Batched product of int64 residue rows mod p^2 (broadcastable shapes, never
+        written); the bracket reduces mod p only the ``_span`` columns it reads
+        and costs one multiply-add per nonzero structure constant."""
+        ra = _mod(a[..., :self._span], self.p)
+        rb = _mod(b[..., :self._span], self.p)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         for i, j, k, c in self._terms:
             out[..., k] += c * ra[..., i] * rb[..., j]
         del ra, rb  # the sampled checks pass 10^5-row arrays; free these before reducing
-        out %= self.p
+        out = _mod(out, self.p)
         out *= self.p
         out += a + b
-        return out % self.q
+        return _mod(out, self.q)
+
+    def _mult_members(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``_mult_rows`` on rows that must reduce into S; raises ConstraintViolation otherwise."""
+        if not (self._member_rows(a).all() and self._member_rows(b).all()):
+            raise ConstraintViolation("operands must satisfy the constraint")
+        return self._mult_rows(a, b)
+
+    def _power_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Each row to the k-th power (k >= 0) by square-and-multiply."""
+        acc = np.zeros_like(rows)
+        while k:
+            if k & 1:
+                acc = self._mult_members(acc, rows)
+            rows = self._mult_members(rows, rows)
+            k >>= 1
+        return acc
 
     def multiply(self, x: PGroupElement, y: PGroupElement) -> PGroupElement:
-        rx, ry = self._row(x), self._row(y)
-        if not (self._member_rows(rx)[0] and self._member_rows(ry)[0]):
-            raise ConstraintViolation("operands must satisfy the constraint")
-        return PGroupElement(tuple(int(c) for c in self._mult_rows(rx, ry)[0]))
+        return PGroupElement(tuple(int(c) for c in self._mult_members(self._row(x), self._row(y))[0]))
 
     def inverse(self, x: PGroupElement) -> PGroupElement:
         return self.element(tuple(-c for c in x.coords))
 
     def power(self, x: PGroupElement, k: int) -> PGroupElement:
-        if k < 0:
-            return self.power(self.inverse(x), -k)
-        acc = self.identity()
-        base = x
-        while k:
-            if k & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return acc
+        row = self._row(self.inverse(x) if k < 0 else x)
+        return PGroupElement(tuple(int(c) for c in self._power_rows(row, abs(k))[0]))
 
     def order_of(self, x: PGroupElement) -> int:
         """Least k >= 1 with x^k = 1; always 1, p, or p^2 since x^p = p x."""
@@ -287,7 +304,7 @@ class PGroup:
             )
         n = self.algebra.gen_count
         cs = _all_vectors(self.p, self.s_dim)
-        s_part = cs @ self._s_basis % self.p
+        s_part = _mod(cs @ self._s_basis, self.p)
         ts = _all_vectors(self.p, n)
         rows = (s_part[:, None, :] + self.p * ts[None, :, :]).reshape(-1, n)
         return rows[np.lexsort(rows.T[::-1])]
@@ -297,9 +314,11 @@ class PGroup:
         return [PGroupElement(tuple(int(c) for c in row)) for row in self._enumerate_rows(budget)]
 
     def _sample_rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Uniform rows s + p t of pi^(-1)(S), left unreduced: entries are <= p - 1 + p (p - 1) < p^2."""
         cs = rng.integers(0, self.p, size=(count, self.s_dim), dtype=np.int64)
-        ts = rng.integers(0, self.p, size=(count, self.algebra.gen_count), dtype=np.int64)
-        return (cs @ self._s_basis % self.p + self.p * ts) % self.q
+        ts = self.p * rng.integers(0, self.p, size=(count, self.algebra.gen_count), dtype=np.int64)
+        ts += _mod(cs @ self._s_basis, self.p)
+        return ts
 
     def _module_generators(self) -> np.ndarray:
         n = self.algebra.gen_count
@@ -310,21 +329,17 @@ class PGroup:
     # -- verification --------------------------------------------------------
 
     def _subgroup_ranks(self) -> tuple[int, int, int]:
-        """(log_p |Frattini|, commutator rank, exponent) from module generators."""
-        gens = [PGroupElement(tuple(int(c) for c in row % self.q)) for row in self._module_generators()]
-        comms = []
-        for a, b in combinations(gens, 2):
-            c = self.multiply(self.multiply(self.multiply(a, b), self.inverse(a)), self.inverse(b))
-            comms.append(c.coords)
-        powers = [self.power(g, int(self.p)).coords for g in gens]
-        comm_rank = _pk_log_order(np.array(comms or np.zeros((0, self.algebra.gen_count))), self.p)
-        frat_log = _pk_log_order(np.array(list(comms) + powers), self.p)
-        if any(any(c % self.p for c in g.coords) for g in gens):
-            exponent = self.q
-        elif self.order > 1:
-            exponent = int(self.p)
-        else:
-            exponent = 1
+        """(log_p |Frattini|, commutator rank, exponent) from module generators,
+        batched: the commutators of all generator pairs (``combinations`` order)
+        and the p-th powers are stacked rows, and ``_mult_members`` raises
+        ConstraintViolation on an operand off S, as ``multiply`` does."""
+        gens = self._module_generators()
+        a, b = (gens[idx] for idx in np.triu_indices(len(gens), 1))
+        mul = self._mult_members
+        comms = mul(mul(mul(a, b), _mod(-a, self.q)), _mod(-b, self.q))
+        comm_rank = _pk_log_order(comms, self.p)
+        frat_log = _pk_log_order(np.concatenate([comms, self._power_rows(gens, int(self.p))]), self.p)
+        exponent = self.q if _mod(gens, self.p).any() else (int(self.p) if self.order > 1 else 1)
         return frat_log, comm_rank, exponent
 
     def verify(
@@ -390,11 +405,11 @@ class PGroup:
         ident_ok = (
             np.array_equal(self._mult_rows(rows, zero), rows)
             and np.array_equal(self._mult_rows(zero, rows), rows)
-            and not self._mult_rows(rows, (-rows) % self.q).any()
+            and not self._mult_rows(rows, _mod(-rows, self.q)).any()
         )
 
         if exhaustive:
-            omega = np.nonzero(~((self.p * E) % self.q).any(axis=1))[0]
+            omega = np.nonzero(~_mod(E, self.p).any(axis=1))[0]  # p x = 0 iff x is in p K
             omega1_rank = 0
             c = len(omega)
             while c > 1:
@@ -412,7 +427,7 @@ class PGroup:
             assert exponent_seen == exponent
             report_mode = "exhaustive"
         else:
-            omegas = (self.p * self._sample_rows(rng, triples)) % self.q
+            omegas = _mod(self.p * self._sample_rows(rng, triples), self.q)
             pc_ok = np.array_equal(self._mult_rows(omegas, ys), self._mult_rows(ys, omegas))
             pc_pairs = triples
             omega1_rank = n  # Omega_1 = p K

@@ -2,6 +2,7 @@
 reference implementations that the fast kernels must agree with exactly."""
 
 import warnings
+from itertools import combinations
 
 import numpy as np
 
@@ -10,7 +11,7 @@ from frattini.bocksteindga import _mul_term_dicts
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, solve
 from frattini.koszul import _block_matrix, _graded_basis, _grading
-from frattini.pgroups import VerificationReport
+from frattini.pgroups import ConstraintViolation, VerificationReport
 
 
 def random_quadratic(rng, w, p):
@@ -271,6 +272,39 @@ def reference_member_rows(group, rows):
     return ~red.any(axis=1)
 
 
+def reference_subgroup_ranks(group):
+    """``PGroup._subgroup_ranks`` one element at a time: each commutator
+    a b a^-1 b^-1 and each p-th power (square-and-multiply) of the module
+    generators is a chain of one-row products by ``reference_mult_rows``, whose
+    operands must reduce into S; the orders come from
+    ``reference_module_log_order``."""
+    p, q, n = int(group.p), group.q, group.algebra.gen_count
+
+    def mul(x, y):
+        if not (reference_member_rows(group, x).all() and reference_member_rows(group, y).all()):
+            raise ConstraintViolation("operands must satisfy the constraint")
+        return reference_mult_rows(group, x, y)
+
+    gens = [row.reshape(1, -1) for row in group._module_generators() % q]
+    comms = [mul(mul(mul(a, b), (-a) % q), (-b) % q) for a, b in combinations(gens, 2)]
+    powers = []
+    for g in gens:
+        acc, base, k = np.zeros_like(g), g, p
+        while k:
+            if k & 1:
+                acc = mul(acc, base)
+            base = mul(base, base)
+            k >>= 1
+        powers.append(acc)
+    comm_rows = np.concatenate(comms) if comms else np.zeros((0, n), dtype=np.int64)
+    frat_log = reference_module_log_order(np.concatenate([comm_rows, *powers]), p)
+    if any((g % p).any() for g in gens):
+        exponent = q
+    else:
+        exponent = p if group.order > 1 else 1
+    return frat_log, reference_module_log_order(comm_rows, p), exponent
+
+
 def reference_exhaustive_report(group):
     """``group.verify(mode="exhaustive")`` for order^3 <= 1e8, one z at a time.
 
@@ -304,7 +338,7 @@ def reference_exhaustive_report(group):
             pc_ok = False
             break
         pc_pairs += len(E)
-    frat_log, comm_rank, exponent = group._subgroup_ranks()
+    frat_log, comm_rank, exponent = reference_subgroup_ranks(group)
     return VerificationReport(
         group_order=group.order,
         mode="exhaustive",

@@ -23,6 +23,7 @@ from helpers import (
     reference_member_rows,
     reference_module_log_order,
     reference_mult_rows,
+    reference_subgroup_ranks,
 )
 
 
@@ -239,28 +240,62 @@ _KERNEL_CASES = (
 )
 
 
-@pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
-def test_mult_rows_matches_reference(kind, size, p):
+def _kernel_group(kind, size, p):
     if kind == "free":
-        g = PGroup(free_two_step(size), p)
-    elif kind == "U":
-        g = unp_group(size, p)
-    else:
-        g = _dense_group(*size, p, constrained=kind == "dense-S")
+        return PGroup(free_two_step(size), p)
+    if kind == "U":
+        return unp_group(size, p)
+    return _dense_group(*size, p, constrained=kind == "dense-S")
+
+
+def _operand_pairs(g):
+    """The operand shapes ``verify`` passes to ``_mult_rows``, on random residue rows."""
     n = g.algebra.gen_count
-    rng = np.random.default_rng(p)
+    rng = np.random.default_rng(g.p)
     if g.constrained:
         x, y = (g._sample_rows(rng, 40) for _ in range(2))
     else:  # any rows of K
         x, y = (rng.integers(0, g.q, size=(40, n)) for _ in range(2))
     zero = np.zeros((1, n), dtype=np.int64)
-    for a, b in (
+    return (
         (x, y),  # sampled triples
         (x, zero), (zero, x), (x, (-x) % g.q),  # identity and inverses
         (x[:1], y), (y, x[:1]),  # one order-p candidate against all rows
         (x[:, None, :], y[None, :, :]),  # Cayley table
-    ):
+    )
+
+
+@pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
+def test_mult_rows_matches_reference(kind, size, p):
+    g = _kernel_group(kind, size, p)
+    for a, b in _operand_pairs(g):
         assert np.array_equal(g._mult_rows(a, b), reference_mult_rows(g, a, b)), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
+def test_mult_rows_leaves_operands_unchanged(kind, size, p):
+    g = _kernel_group(kind, size, p)
+    for a, b in _operand_pairs(g):  # broadcast views of the same two arrays
+        before = a.copy(), b.copy()
+        g._mult_rows(a, b)
+        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1]), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_mod_matches_np_mod(p):
+    big = 2 ** 62 - 1
+    for m in (p, p * p):
+        x = np.array([0, 1, -1, m - 1, m, m + 1, -m, -m + 1, -m - 1, 2 * m, -2 * m, big, -big,
+                      big - 1, -big + 1, 12345678901, -12345678901], dtype=np.int64)
+        x = np.concatenate([x, np.random.default_rng(m).integers(-big, big, size=1000)])
+        assert np.array_equal(pgroups._mod(x, m), np.mod(x, m))
+        assert np.array_equal(pgroups._mod(x.reshape(-1, 1, 1), m), np.mod(x, m).reshape(-1, 1, 1))
+
+
+@pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
+def test_subgroup_ranks_match_reference(kind, size, p):
+    g = _kernel_group(kind, size, p)
+    assert g._subgroup_ranks() == reference_subgroup_ranks(g)
 
 
 @pytest.mark.parametrize("p", _PRIMES)
@@ -368,13 +403,37 @@ def test_non_bilinear_product_fails_associativity(monkeypatch, mode):
 
 def test_product_leaving_the_subgroup_fails_closure(monkeypatch):
     g = unp_group(2, 3)
-    # The ranks chain products through multiply(), which refuses operands off S.
+    # Under the patched kernel _subgroup_ranks would raise on a product operand off S.
     ranks = g._subgroup_ranks()
     monkeypatch.setattr(g, "_subgroup_ranks", lambda: ranks)
     monkeypatch.setattr(PGroup, "_mult_rows", _leaves_subgroup)
     rep = g.verify(mode="exhaustive")  # (8, 8, 6) * 1 = (8, 8, 7) sorts past every element
     assert not rep.associativity_ok
     assert rep.associativity_exhaustive and rep.associativity_triples == 243 ** 3
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_subgroup_ranks_take_a_few_batched_products(monkeypatch, p):
+    """Three products for the commutators; for the p-th powers one squaring per
+    bit of p and one product per set bit."""
+    calls = []
+
+    def counting(self, a, b):
+        calls.append(np.broadcast_shapes(a.shape, b.shape))
+        return _KERNEL(self, a, b)
+
+    monkeypatch.setattr(PGroup, "_mult_rows", counting)
+    g = unp_group(3, p)  # 3 + 6 module generators, 36 pairs
+    g._subgroup_ranks()
+    assert len(calls) == 3 + int(p).bit_length() + bin(p).count("1")
+    assert calls[:3] == [(36, 6)] * 3 and set(calls[3:]) == {(9, 6)}
+
+
+def test_subgroup_ranks_reject_products_off_the_constraint(monkeypatch):
+    monkeypatch.setattr(PGroup, "_mult_rows", _leaves_subgroup)
+    g = unp_group(2, 3)
+    with pytest.raises(ConstraintViolation):  # (1, 0, 0) * (0, 1, 0) = (1, 1, 4) leaves S
+        g._subgroup_ranks()
 
 
 @pytest.mark.parametrize(
