@@ -260,9 +260,6 @@ class ExtElement(_TermMap):
         for eb, xb in sorted(self._terms, key=_term_key):
             yield Monomial.from_bits(eb, xb), self._terms[(eb, xb)]
 
-    def coefficient(self, monomial: Monomial) -> int:
-        return self._terms.get((monomial.e_bits, monomial.x_bits), 0)
-
     def is_homogeneous(self, d: int | None = None) -> bool:
         degs = {self._key_degree(k) for k in self._terms}
         if d is None:

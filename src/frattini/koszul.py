@@ -18,7 +18,9 @@ block at a time; no full-degree matrix is built.  The RREF of a block-diagonal
 matrix is the union of the block RREFs, so this gives the same bytes as the
 full matrices would.  Each block is eliminated twice: the RREF of its outgoing
 matrix gives its cycles and, at its pivot columns, independent boundaries of
-the next degree; the RREF of those is kept for reducing cocycles to classes.
+the next degree; the RREF of those is kept, as the canonical representative of
+a cocycle's class is its normal form modulo the boundaries (zero on that
+RREF's pivots), which cup products compute with one reduction per block.
 
 When the quadratics are single monomials c_t e_a e_b covering every pair
 {a, b} exactly once (``unp_complex``, up to reordering and rescaling), S_w acts
@@ -266,9 +268,7 @@ def _block_matrix(c: KoszulComplex, dom, cod) -> FpMatrix:
     a = np.zeros((len(cod), len(dom)), dtype=np.int64)
     for j, (eb, xb) in enumerate(dom):
         for k, v in _diff_term(c, eb, xb).items():
-            v %= c.p
-            if v:
-                a[index[k], j] = v
+            a[index[k], j] = v
     return FpMatrix(a, c.p)
 
 
@@ -295,6 +295,19 @@ def _monomial_pairs(c: KoszulComplex):
     return pairs
 
 
+def _x_degrees(c: KoszulComplex, pairs) -> list[tuple[int, ...]]:
+    """The multidegree of every x-mask T, indexed by T: the sum of eps_a + eps_b
+    over the pairs (a, b) of the x_t in T."""
+    degrees = [(0,) * c.w]
+    for xb in range(1, 1 << c.r):
+        deg = list(degrees[xb & (xb - 1)])
+        a, b = pairs[(xb & -xb).bit_length() - 1]
+        deg[a] += 1
+        deg[b] += 1
+        degrees.append(tuple(deg))
+    return degrees
+
+
 def _grading(c: KoszulComplex):
     """A grade of the basis keys (e_bits, x_bits) that d preserves.
 
@@ -305,21 +318,8 @@ def _grading(c: KoszulComplex):
     pairs = _monomial_pairs(c)
     if pairs is None:
         return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
-    x_degrees: dict[int, list[int]] = {}
-
-    def multidegree(key):
-        eb, xb = key
-        base = x_degrees.get(xb)
-        if base is None:
-            base = [0] * c.w
-            for t, (a, b) in enumerate(pairs):
-                if xb >> t & 1:
-                    base[a] += 1
-                    base[b] += 1
-            x_degrees[xb] = base
-        return tuple(m + (eb >> i & 1) for i, m in enumerate(base))
-
-    return multidegree
+    x_degrees = _x_degrees(c, pairs)
+    return lambda key: tuple(m + (key[0] >> i & 1) for i, m in enumerate(x_degrees[key[1]]))
 
 
 def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
@@ -342,15 +342,9 @@ def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
     ranks only d <= top-1-d.
     """
     w = c.w
-    x_degrees = [(0,) * w]
-    by_degree: dict[tuple, list[int]] = {(0,) * w: [0]}
-    for xb in range(1, 1 << c.r):
-        a, b = pairs[(xb & -xb).bit_length() - 1]
-        deg = list(x_degrees[xb & (xb - 1)])
-        deg[a] += 1
-        deg[b] += 1
-        x_degrees.append(tuple(deg))
-        by_degree.setdefault(x_degrees[xb], []).append(xb)
+    by_degree: dict[tuple, list[int]] = {}
+    for xb, deg in enumerate(_x_degrees(c, pairs)):
+        by_degree.setdefault(deg, []).append(xb)
     e_degrees = [tuple(eb >> i & 1 for i in range(w)) for eb in range(1 << w)]
     top = c.top_degree
     ranks = [0] * (top + 1)
@@ -411,9 +405,9 @@ class BettiTable:
     ``dims[d]`` is the dimension in degree d for d = 0..w+r.  When computed
     with representatives, ``representatives[d]`` lists canonical cocycles
     whose classes form a basis, and ``_matrices[d]`` maps each grade of
-    degree d to its keys, the indices of its representatives, and the RREF of
-    its boundaries (rank-many rows) with its pivots.  Compared by identity; cup
-    products require both classes to come from the same table.
+    degree d to its keys, the RREF of its boundaries (rank-many rows) and
+    that RREF's pivots.  Compared by identity; cup products require both
+    classes to come from the same table.
     """
 
     def __init__(self, complex: KoszulComplex, dims, representatives, matrices):
@@ -421,7 +415,7 @@ class BettiTable:
         self.dims = tuple(int(b) for b in dims)
         self.representatives = representatives
         self._matrices = matrices
-        self._grade = _grading(complex)
+        self._grade = None if matrices is None else _grading(complex)
 
     def classes(self, degree: int) -> list[CohomologyClass]:
         if self.representatives is None:
@@ -434,13 +428,13 @@ class BettiTable:
         return self.class_from_cocycle(self.complex.ambient.one())
 
     def class_from_cocycle(self, elem: ExtElement, degree: int | None = None) -> CohomologyClass:
-        """Express a cocycle in homology coordinates (reduce mod boundaries).
+        """The class of a cocycle, as its canonical representative.
 
-        Each grade's part is reduced modulo its block's boundary RREF.  Each
-        representative is zero on that RREF's pivots and on the lead columns
-        of the representatives before it, so peeling them off in order by lead
-        column gives the coefficients; a nonzero remainder in any block raises
-        NotACocycle.  Nothing is eliminated here.
+        Raises NotACocycle unless d(elem) = 0.  The representative is the
+        normal form of elem modulo the boundaries: grade by grade, elem's part
+        reduced against its block's boundary RREF.  Every representative is
+        zero on that RREF's pivots, so the normal form is the one combination
+        of representatives in elem's class.  Nothing is eliminated here.
         """
         if self.representatives is None:
             raise ValueError("table was computed without representatives")
@@ -454,32 +448,21 @@ class BettiTable:
             raise ValueError("representative must be homogeneous")
         if degree is not None and degree != d:
             raise ValueError(f"element has degree {d}, expected {degree}")
+        if not differential(c, elem).is_zero():
+            raise NotACocycle(f"d({elem}) != 0")
 
         by_grade: dict = {}
         for key, coeff in elem._terms.items():
             by_grade.setdefault(self._grade(key), {})[key] = coeff
-        p, reps = c.p, self.representatives[d]
-        coeffs = [0] * len(reps)
+        out: dict = {}
         for g, terms in by_grade.items():
-            keys, idx, bnd_rref, bnd_pivots = self._matrices[d][g]
+            keys, bnd_rref, bnd_pivots = self._matrices[d][g]
             index = {k: i for i, k in enumerate(keys)}
-            rows = np.zeros((1 + len(idx), len(keys)), dtype=np.int64)
-            for j, row_terms in enumerate([terms] + [reps[i]._terms for i in idx]):
-                for key, coeff in row_terms.items():
-                    rows[j, index[key]] = coeff
-            v = fplin._reduce_rows(rows[:1], bnd_rref, bnd_pivots, p)[0]
-            for i, row in zip(idx, rows[1:]):
-                col = np.flatnonzero(row)[0]
-                coeffs[i] = int(v[col]) * pow(int(row[col]), p - 2, p) % p
-                v = (v - coeffs[i] * row) % p
-            if v.any():
-                raise NotACocycle(f"d({elem}) != 0")
-        out: dict = {}  # sum of coeff * rep, terms ordered as repeated ExtElement addition orders them
-        for coeff, r in zip(coeffs, reps):
-            for key, rc in r._terms.items() if coeff else ():
-                out[key] = (out.get(key, 0) + coeff * rc) % p
-                if not out[key]:
-                    del out[key]
+            v = np.zeros((1, len(keys)), dtype=np.int64)
+            for key, coeff in terms.items():
+                v[0, index[key]] = coeff
+            v = fplin._reduce_rows(v, bnd_rref, bnd_pivots, c.p)[0]
+            out.update((keys[i], int(v[i])) for i in np.flatnonzero(v))
         return CohomologyClass(d, ExtElement(c.ambient, out), self)
 
 
@@ -533,14 +516,10 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
             outgoing[g] = m.entries[:, piv].T  # independent columns spanning the image
             bnd = incoming.get(g, np.zeros((0, len(keys)), dtype=np.int64))
             pairs, bnd_rref, bnd_pivots = fplin._quotient_pairs(ker, ker, free, bnd, c.p)
-            found += [(keys[free[i]][::-1], g, v) for i, v in pairs]  # sorted by (x, e) of the free column
-            blocks[g] = (keys, [], bnd_rref, bnd_pivots)
+            found += [(keys[free[i]][::-1], keys, v) for i, v in pairs]  # sorted by (x, e) of the free column
+            blocks[g] = (keys, bnd_rref, bnd_pivots)
         found.sort(key=lambda item: item[0])
-        reps = []
-        for j, (_, g, v) in enumerate(found):
-            keys, idx = blocks[g][:2]
-            idx.append(j)
-            reps.append(ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}))
+        reps = [ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}) for _, keys, v in found]
         dims.append(sum(map(len, dom.values())) - rank - prev_rank)
         prev_rank, incoming = rank, outgoing
         reps_by_degree.append(tuple(reps))
@@ -569,11 +548,12 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     return t.class_from_cocycle(z, degree=d)
 
 
-def unp_complex(n: int, p, *, force: bool = False) -> KoszulComplex:
+def unp_complex(n: int, p) -> KoszulComplex:
     """The universal complex for n generators: w = n and all products e_i e_j.
 
     Built by canonicalizing the full k-invariant subspace (Bockstein basis
-    plus every quadratic e_i e_j with i < j), so r = C(n, 2).
+    plus every quadratic e_i e_j with i < j), so r = C(n, 2).  The C(n, 2)
+    quadratics are distinct basis monomials, so always independent.
     """
     p = as_prime(p)
     amb0 = Ambient(n, 0, p)
@@ -586,4 +566,4 @@ def unp_complex(n: int, p, *, force: bool = False) -> KoszulComplex:
         entries.append((zero_b, QuadraticForm(amb0, {(eb, 0): 1})))
     k = KInvariantSubspace(n, p, tuple(entries))
     assert k.v == n + comb(n, 2)
-    return canonicalize(k, force=force)
+    return canonicalize(k)

@@ -436,7 +436,7 @@ def assert_matches_dense_reference(c, left_degrees=(1,)):
                 for b in table.classes(j):
                     z = a.representative * b.representative
                     want = z if z.is_zero() else reference_class_from_cocycle(c, reps, mats, z)
-                    assert list(cup(a, b).representative._terms.items()) == list(want._terms.items())
+                    assert list(cup(a, b).representative.terms()) == list(want.terms())
     return table
 
 
@@ -514,7 +514,7 @@ def test_class_from_cocycle_across_grades_matches_dense(make, rng):
                 continue
             spread += len({grade(key) for key in z._terms}) > 1
             want = reference_class_from_cocycle(c, reps, mats, z)
-            assert list(table.class_from_cocycle(z).representative._terms.items()) == list(want._terms.items())
+            assert list(table.class_from_cocycle(z).representative.terms()) == list(want.terms())
     assert spread >= 5
 
 
@@ -590,6 +590,38 @@ def test_boundaries_do_not_change_a_class(make, multidegree, rng):
             for cocycle in (z, shifted):
                 assert table.class_from_cocycle(cocycle, degree=d).representative == combo
     assert spread >= 5
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: unp_complex(3, 7), generic_w5_r3_p7, weight_graded_w4_r2_p5], ids=["u3", "generic", "weight-w4"]
+)
+def test_class_from_cocycle_checks_d_and_fixes_representatives(make, rng):
+    """A cocycle spread over several grades plus one monomial with d != 0, in
+    a grade the cocycle misses, is rejected; every representative is its own
+    normal form."""
+    c = make()
+    table = betti(c)
+    grade = koszul._grading(c)
+    rejected = 0
+    for d in range(1, c.top_degree + 1):
+        z = differential(c, random_element(rng, c.ambient, d - 1, density=0.5))
+        for r in table.representatives[d]:
+            z = z + rng.randrange(1, c.p) * r
+        grades = {grade(key) for key in z._terms}
+        outside = [
+            key for key in _basis_bits(c.w, c.r, d)
+            if grade(key) not in grades and not differential(c, ExtElement(c.ambient, {key: 1})).is_zero()
+        ]
+        if len(grades) < 2 or not outside:
+            continue
+        bad = z + ExtElement(c.ambient, {rng.choice(outside): rng.randrange(1, c.p)})
+        with pytest.raises(NotACocycle, match=r"^d\(.*\) != 0$"):
+            table.class_from_cocycle(bad)
+        rejected += 1
+    assert rejected >= 2
+    for d, reps in enumerate(table.representatives):
+        for r in reps:
+            assert table.class_from_cocycle(r, degree=d).representative == r
 
 
 def test_representatives_build_no_full_degree_matrix(monkeypatch):
