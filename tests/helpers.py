@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 
 from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, differential_matrix, fplin
-from frattini.bocksteindga import _mul_term_dicts
+from frattini.bocksteindga import BigradedElement, Generators, _monomials_up_to, _mul_term_dicts, bockstein
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, solve
 from frattini.koszul import _block_matrix, _graded_basis, _grading
@@ -402,3 +402,13 @@ def reference_beta_term(amb, mask, exps):
     single[g] = 1
     _acc(out, _mul_term_dicts({(0, tuple(single)): 1}, reference_beta_term(amb, 0, tuple(lowered))))
     return out
+
+
+def reference_square_violations(n, p, max_degree):
+    """``verify_differential``'s beta^2 count through the public API: the
+    monomials m of degree <= max_degree with bockstein(bockstein(m)) nonzero."""
+    amb = Generators(n, p)
+    return sum(
+        not bockstein(bockstein(BigradedElement(amb, {mono: 1}))).is_zero()
+        for mono in _monomials_up_to(amb, max_degree)
+    )

@@ -9,6 +9,7 @@ from frattini.bocksteindga import (
     Generators,
     PrimeTooSmall,
     _add_beta_term,
+    _exp_vectors,
     _monomials_up_to,
     bockstein,
     format_bigraded,
@@ -17,7 +18,7 @@ from frattini.bocksteindga import (
 )
 from frattini.extalg import AmbientMismatch
 from frattini.pgroups import BudgetExceeded
-from helpers import reference_beta_term
+from helpers import reference_beta_term, reference_square_violations
 
 G = Generators(3, 5)
 
@@ -221,6 +222,15 @@ def test_corpus_catches_mutants(n, p, max_degree, old, new):
     assert _corpus_disagreements(_mutant(old, new), Generators(n, p), max_degree) > 0
 
 
+def test_sweep_counts_square_violations_of_a_broken_kernel(monkeypatch):
+    """Without the (-1)^|S| sign beta^2 is no longer zero; the term-dict sweep
+    must count exactly the monomials that bockstein(bockstein(m)) flags."""
+    monkeypatch.setattr(bocksteindga, "_add_beta_term", _mutant("c_s = -c if k % 2 else c", "c_s = c"))
+    expected = reference_square_violations(3, 5, 5)
+    assert expected > 0
+    assert verify_differential(3, 5, 5, leibniz_pairs=0).beta_squared_violations == expected
+
+
 def test_monomials_in_mask_scan_order():
     """Ascending exterior masks, then exponent vectors: the order the seeded
     Leibniz sampling draws from."""
@@ -234,6 +244,20 @@ def test_monomials_in_mask_scan_order():
             if 2 * sum(exps) <= d - mask.bit_count()
         ]
         assert _monomials_up_to(amb, d) == scan
+
+
+def test_exp_vectors_match_product_order():
+    for count in (1, 2, 4):
+        for budget in range(4):
+            expected = [e for e in product(range(budget + 1), repeat=count) if sum(e) <= budget]
+            assert _exp_vectors(count, budget) == expected
+
+
+def test_generator_counts_cached_outside_equality():
+    amb, fresh = Generators(4, 7), Generators(4, 7)
+    assert amb.count == 10
+    assert {"pairs", "count"} <= vars(amb).keys()
+    assert amb == fresh and hash(amb) == hash(fresh)
 
 
 def test_sweep_cost_follows_monomials_not_masks():

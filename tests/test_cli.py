@@ -481,6 +481,16 @@ def test_bockstein_sweep_over_budget_exits_4_quickly():
     assert err.startswith("error: 406481544 monomials of degree <= 6 exceed the sweep budget 1000000")
 
 
+def test_bockstein_sweep_past_recursion_depth():
+    """N = 45 + C(45, 2) = 1035 generators per block: deeper than the
+    interpreter's recursion limit, so the monomial enumeration must not recurse."""
+    code, report = invoke_json(["bockstein", "-n", "45", "-p", "5", "--max-degree", "1", "--pairs", "5"])
+    assert code == EXIT_OK
+    assert report["sweep"]["monomials_checked"] == 1036
+    assert report["sweep"]["beta_squared_violations"] == 0
+    assert report["sweep"]["leibniz_violations"] == 0
+
+
 def test_size_warning_reported_by_koszul_not_unp(monkeypatch):
     monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
     code, report = invoke_json(["koszul", "-w", "3", "-p", "5", "-q", "e1^e2"])
