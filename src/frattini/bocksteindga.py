@@ -22,13 +22,19 @@ polynomial ones) this is one Leibniz pass with two closed-form rules:
 Restriction to the universal subgroup kills every x_(i,j) and every product
 x_i x_j, and renames z to s in printed output; the Bockstein descends since
 it preserves that ideal.
+
+Both blocks number their N = n + C(n, 2) generators alike: z_k (or x_k) is
+k - 1 and z_(i,j) is n plus the place of (i, j) among the pairs in
+lexicographic order.  A term's key is (mask, mono): bit g of mask is x_g,
+and mono is the sorted tuple of the indices in z^E, one entry per power, so
+z_1^2 z_(1,2) at n = 2 is (0, 0, 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from random import Random
 from typing import Iterator, Mapping
@@ -79,10 +85,7 @@ class Generators:
     @cached_property
     def count(self) -> int:
         """Generators per block: n singles plus C(n, 2) pairs."""
-        return self.n + len(self.pairs)
-
-    def _zero_exps(self) -> tuple[int, ...]:
-        return (0,) * self.count
+        return self.n + comb(self.n, 2)
 
     def _single(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -90,41 +93,36 @@ class Generators:
         return i - 1
 
     def _pair(self, i: int, j: int) -> int:
-        try:
-            return self.n + self.pairs.index((i, j))
-        except ValueError:
-            raise ValueError(f"({i}, {j}) is not a pair with 1 <= i < j <= {self.n}") from None
+        if not 1 <= i < j <= self.n:
+            raise ValueError(f"({i}, {j}) is not a pair with 1 <= i < j <= {self.n}")
+        return self.n + (i - 1) * (2 * self.n - i) // 2 + j - i - 1
 
     def x(self, i: int) -> "BigradedElement":
-        return BigradedElement(self, {(1 << self._single(i), self._zero_exps()): 1})
+        return BigradedElement(self, {(1 << self._single(i), ()): 1})
 
     def x_pair(self, i: int, j: int) -> "BigradedElement":
         if self.restricted:
             return self.zero()
-        return BigradedElement(self, {(1 << self._pair(i, j), self._zero_exps()): 1})
+        return BigradedElement(self, {(1 << self._pair(i, j), ()): 1})
 
     def zeta(self, i: int) -> "BigradedElement":
-        e = list(self._zero_exps())
-        e[self._single(i)] = 1
-        return BigradedElement(self, {(0, tuple(e)): 1})
+        return BigradedElement(self, {(0, (self._single(i),)): 1})
 
     def zeta_pair(self, i: int, j: int) -> "BigradedElement":
-        e = list(self._zero_exps())
-        e[self._pair(i, j)] = 1
-        return BigradedElement(self, {(0, tuple(e)): 1})
+        return BigradedElement(self, {(0, (self._pair(i, j),)): 1})
 
     def one(self) -> "BigradedElement":
-        return BigradedElement(self, {(0, self._zero_exps()): 1})
+        return BigradedElement(self, {(0, ()): 1})
 
     def zero(self) -> "BigradedElement":
         return BigradedElement(self, {})
 
     def scalar(self, c: int) -> "BigradedElement":
-        return BigradedElement(self, {(0, self._zero_exps()): c})
+        return BigradedElement(self, {(0, ()): c})
 
 
-def _term_degree(mask: int, exps: tuple[int, ...]) -> int:
-    return mask.bit_count() + 2 * sum(exps)
+def _term_degree(mask: int, mono: tuple[int, ...]) -> int:
+    return mask.bit_count() + 2 * len(mono)
 
 
 def _killed(amb: Generators, mask: int) -> bool:
@@ -134,22 +132,23 @@ def _killed(amb: Generators, mask: int) -> bool:
 
 
 class BigradedElement(_TermMap):
-    """A sum of terms (exterior mask, polynomial exponent vector) -> residue."""
+    """A sum of terms (mask, mono) -> residue: the key of the module docstring,
+    with mask < 2^N and mono a sorted tuple of indices in range(N)."""
 
     __slots__ = ()
 
     def __init__(self, ambient: Generators, terms: Mapping[tuple[int, tuple[int, ...]], int]):
         self.ambient = ambient
-        p = ambient.p
+        p, count = ambient.p, ambient.count
         clean: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (mask, exps), c in terms.items():
-            if mask >> ambient.count or len(exps) != ambient.count:
+        for (mask, mono), c in terms.items():
+            if mask >> count or mono != tuple(sorted(mono)) or (mono and not 0 <= mono[0] <= mono[-1] < count):
                 raise ValueError("term does not fit the generator set")
             if ambient.restricted and _killed(ambient, mask):
                 continue
             c %= p
             if c:
-                clean[(mask, exps)] = c
+                clean[(mask, mono)] = c
         self._terms = clean
 
     @staticmethod
@@ -157,11 +156,11 @@ class BigradedElement(_TermMap):
         return _term_degree(*key)
 
     def terms(self) -> Iterator[tuple[tuple[int, tuple[int, ...]], int]]:
-        def key(t):
-            mask, exps = t
-            return (_term_degree(mask, exps), tuple(-e for e in exps), mask)
-
-        for t in sorted(self._terms, key=key):
+        """By degree, then descending exponent vector, then mask.  On sorted
+        index tuples the exponent order is ascending mono + (N,): the first
+        differing index is smaller in the tuple with the larger exponent there."""
+        end = (self.ambient.count,)
+        for t in sorted(self._terms, key=lambda t: (_term_degree(*t), t[1] + end, t[0])):
             yield t, self._terms[t]
 
     def __mul__(self, other):
@@ -190,12 +189,11 @@ def format_bigraded(elem: BigradedElement) -> str:
         return f"{block}({i},{j})"
 
     parts: list[str] = []
-    for (mask, exps), c in elem.terms():
+    for (mask, mono), c in elem.terms():
         factors = []
-        for g, e in enumerate(exps):
-            if e:
-                name = gen_name(g, pol_name)
-                factors.append(name if e == 1 else f"{name}^{e}")
+        for g in dict.fromkeys(mono):
+            name, e = gen_name(g, pol_name), mono.count(g)
+            factors.append(name if e == 1 else f"{name}^{e}")
         m = mask
         while m:
             low = m & -m
@@ -221,12 +219,12 @@ def _mul_term_dicts(d1: dict, d2: dict) -> dict:
         for (m2, e2), c2 in d2.items():
             if m1 & m2:
                 continue
-            k = (m1 | m2, tuple(a + b for a, b in zip(e1, e2)))
+            k = (m1 | m2, tuple(sorted(e1 + e2)))
             out[k] = out.get(k, 0) + c1 * c2 * _merge_sign(m1, m2)
     return out
 
 
-def _add_beta_term(out: dict, amb: Generators, mask: int, exps: tuple[int, ...], c: int) -> None:
+def _add_beta_term(out: dict, amb: Generators, mask: int, mono: tuple[int, ...], c: int) -> None:
     """Add c * beta(x_S z^E) into out by rules (a) and (b) of the module docstring."""
     n, pairs = amb.n, amb.pairs
     rest, k = mask, 0
@@ -237,24 +235,25 @@ def _add_beta_term(out: dict, amb: Generators, mask: int, exps: tuple[int, ...],
             i, j = pairs[g - n]
             xij, others = (1 << (i - 1)) | (1 << (j - 1)), mask ^ low
             if not xij & others:
-                key = (xij | others, exps)
+                key = (xij | others, mono)
                 out[key] = out.get(key, 0) + (c if k % 2 else -c) * _merge_sign(xij, others)
         rest ^= low
         k += 1
     c_s = -c if k % 2 else c  # (-1)^|S| c
-    for g in range(n, amb.count):
-        e = exps[g]
-        if not e:
+    if not mono or mono[-1] < n:  # no z_(i,j) factor
+        return
+    for g in dict.fromkeys(mono):
+        if g < n:
             continue
+        e = mono.count(g)
         i, j = pairs[g - n]
+        at = mono.index(g)
+        lowered = mono[:at] + mono[at + 1:]
         for x, z, coeff in ((j, i, e), (i, j, -e)):
             xbit = 1 << (x - 1)
             if mask & xbit:
                 continue
-            raised = list(exps)
-            raised[g] -= 1
-            raised[z - 1] += 1
-            key = (mask | xbit, tuple(raised))
+            key = (mask | xbit, tuple(sorted(lowered + (z - 1,))))
             out[key] = out.get(key, 0) + coeff * c_s * _merge_sign(mask, xbit)
 
 
@@ -263,8 +262,8 @@ def bockstein(a: BigradedElement) -> BigradedElement:
     if a.ambient.p <= 3:
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
     out: dict = {}
-    for (mask, exps), c in a._terms.items():
-        _add_beta_term(out, a.ambient, mask, exps, c)
+    for (mask, mono), c in a._terms.items():
+        _add_beta_term(out, a.ambient, mask, mono, c)
     return BigradedElement(a.ambient, out)
 
 
@@ -290,34 +289,9 @@ class BocksteinReport:
     seed: int
 
 
-def _exp_vectors(count: int, budget: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of length count with sum <= budget, ascending lexicographically.
-
-    Each vector is the successor of the one before: raise the last entry while
-    the sum allows, else move one unit left of the last nonzero entry and
-    clear that entry.
-    """
-    v = [0] * count
-    out = [tuple(v)]
-    total = 0
-    while True:
-        if total < budget:
-            v[-1] += 1
-            total += 1
-        else:
-            j = count - 1
-            while j > 0 and not v[j]:
-                j -= 1
-            if j == 0:
-                return out
-            v[j - 1] += 1
-            total -= v[j] - 1
-            v[j] = 0
-        out.append(tuple(v))
-
-
 def _monomials_up_to(amb: Generators, d: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Monomials of degree <= d, by ascending exterior mask, then exponent vector."""
+    """Monomials of degree <= d by ascending exterior mask, then ascending
+    exponent vector: the reverse of the mono + (N,) order of terms()."""
     count = amb.count
     masks = sorted(
         sum(1 << g for g in gens) for k in range(min(d, count) + 1) for gens in combinations(range(count), k)
@@ -327,8 +301,9 @@ def _monomials_up_to(amb: Generators, d: int) -> list[tuple[int, tuple[int, ...]
     for mask in masks:
         budget = (d - mask.bit_count()) // 2
         if budget not in by_budget:
-            by_budget[budget] = _exp_vectors(count, budget)
-        out.extend((mask, exps) for exps in by_budget[budget])
+            monos = [m for k in range(budget + 1) for m in combinations_with_replacement(range(count), k)]
+            by_budget[budget] = sorted(monos, key=lambda m: m + (count,), reverse=True)
+        out.extend((mask, mono) for mono in by_budget[budget])
     return out
 
 
@@ -359,9 +334,9 @@ def verify_differential(
         raise BudgetExceeded(f"{total} monomials of degree <= {max_degree} exceed the sweep budget {SWEEP_BUDGET}")
     monos = _monomials_up_to(amb, max_degree)
     bad_square = 0
-    for mask, exps in monos:
+    for mask, mono in monos:
         once: dict = {}
-        _add_beta_term(once, amb, mask, exps, 1)
+        _add_beta_term(once, amb, mask, mono, 1)
         twice: dict = {}
         for (m, e), c in once.items():
             if c % p:
@@ -371,8 +346,8 @@ def verify_differential(
 
     rng = Random(seed)
     by_degree: dict[int, list] = {}
-    for mask, exps in monos:
-        by_degree.setdefault(_term_degree(mask, exps), []).append((mask, exps))
+    for mask, mono in monos:
+        by_degree.setdefault(_term_degree(mask, mono), []).append((mask, mono))
     degrees = sorted(by_degree)
     bad_leibniz = 0
     for _ in range(leibniz_pairs):

@@ -364,6 +364,8 @@ def run_bockstein(args: argparse.Namespace) -> tuple[dict, int]:
     p = _prime(args.p)
     try:
         gens = bocksteindga.Generators(n, p)
+        # The sweep refuses an over-budget input before any image is listed.
+        result = bocksteindga.verify_differential(n, p, max_degree, leibniz_pairs=args.pairs, seed=args.seed)
         formulas = []
         for i in range(1, n + 1):
             formulas.append({"generator": f"x{i}", "image": str(bocksteindga.bockstein(gens.x(i)))})
@@ -382,7 +384,6 @@ def run_bockstein(args: argparse.Namespace) -> tuple[dict, int]:
                     "restricted_image": str(bocksteindga.restrict_to_unp(img)),
                 }
             )
-        result = bocksteindga.verify_differential(n, p, max_degree, leibniz_pairs=args.pairs, seed=args.seed)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     except pgroups.BudgetExceeded as exc:

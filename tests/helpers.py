@@ -360,18 +360,14 @@ def _beta_ext_gen(amb, g):
     if g < amb.n:
         return {}
     i, j = amb.pairs[g - amb.n]
-    return {((1 << (i - 1)) | (1 << (j - 1)), amb._zero_exps()): -1}
+    return {((1 << (i - 1)) | (1 << (j - 1)), ()): -1}
 
 
 def _beta_pol_gen(amb, g):
     if g < amb.n:
         return {}
     i, j = amb.pairs[g - amb.n]
-    ei = list(amb._zero_exps())
-    ei[i - 1] = 1
-    ej = list(amb._zero_exps())
-    ej[j - 1] = 1
-    return {(1 << (j - 1), tuple(ei)): 1, (1 << (i - 1), tuple(ej)): -1}
+    return {(1 << (j - 1), (i - 1,)): 1, (1 << (i - 1), (j - 1,)): -1}
 
 
 def _acc(into, d, scale=1):
@@ -379,28 +375,24 @@ def _acc(into, d, scale=1):
         into[k] = into.get(k, 0) + scale * c
 
 
-def reference_beta_term(amb, mask, exps):
-    """``bocksteindga``'s Bockstein of one monomial x_S z^E by the derivation
-    recursion: split off the lowest factor and apply Leibniz.  Coefficients are
-    integers, not yet reduced mod p."""
+def reference_beta_term(amb, mask, mono):
+    """``bocksteindga``'s Bockstein of one monomial x_S z^E (key (mask, mono),
+    mono the sorted tuple of z indices) by the derivation recursion: split off
+    the lowest factor and apply Leibniz.  Coefficients are integers, not yet
+    reduced mod p."""
     if mask:
         low = mask & -mask
         g = low.bit_length() - 1
-        rest = {(mask ^ low, exps): 1}
+        rest = {(mask ^ low, mono): 1}
         out = _mul_term_dicts(_beta_ext_gen(amb, g), rest)
         # x_g has odd degree, so the second Leibniz summand picks up a sign
-        _acc(out, _mul_term_dicts({(low, amb._zero_exps()): 1}, reference_beta_term(amb, mask ^ low, exps)), -1)
+        _acc(out, _mul_term_dicts({(low, ()): 1}, reference_beta_term(amb, mask ^ low, mono)), -1)
         return out
-    g = next((k for k, e in enumerate(exps) if e), None)
-    if g is None:
+    if not mono:
         return {}
-    lowered = list(exps)
-    lowered[g] -= 1
-    rest = {(0, tuple(lowered)): 1}
-    out = _mul_term_dicts(_beta_pol_gen(amb, g), rest)
-    single = list(amb._zero_exps())
-    single[g] = 1
-    _acc(out, _mul_term_dicts({(0, tuple(single)): 1}, reference_beta_term(amb, 0, tuple(lowered))))
+    g, lowered = mono[0], mono[1:]
+    out = _mul_term_dicts(_beta_pol_gen(amb, g), {(0, lowered): 1})
+    _acc(out, _mul_term_dicts({(0, (g,)): 1}, reference_beta_term(amb, 0, lowered)))
     return out
 
 

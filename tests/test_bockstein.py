@@ -1,5 +1,6 @@
 import inspect
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -9,7 +10,6 @@ from frattini.bocksteindga import (
     Generators,
     PrimeTooSmall,
     _add_beta_term,
-    _exp_vectors,
     _monomials_up_to,
     bockstein,
     format_bigraded,
@@ -113,7 +113,7 @@ def test_element_arithmetic():
     assert (x1 * x1).is_zero()
     z = G.zeta(1)
     assert z * x1 == x1 * z
-    assert z * z == BigradedElement(G, {(0, (2, 0, 0, 0, 0, 0)): 1})
+    assert z * z == BigradedElement(G, {(0, (0, 0)): 1})
     assert (x1 + x2) - x2 == x1
     assert 6 * x1 == x1
     assert (5 * x1).is_zero()
@@ -146,6 +146,45 @@ def test_index_validation():
         G.x_pair(1, 1)
     with pytest.raises(ValueError):
         Generators(0, 5)
+    for n in (1, 2, 5, 9):
+        amb = Generators(n, 5)
+        assert [amb._pair(i, j) for i, j in amb.pairs] == list(range(n, amb.count))
+        for i, j in ((0, 1), (2, 1), (n, n + 1)):
+            with pytest.raises(ValueError, match=rf"^\({i}, {j}\) is not a pair with 1 <= i < j <= {n}$"):
+                amb.zeta_pair(i, j)
+
+
+@pytest.mark.parametrize("key", [(0, (3, 1)), (0, (1, 3, 2)), (0, (-1,)), (0, (6,)), (1 << 6, ())])
+def test_constructor_rejects_keys_outside_the_generator_set(key):
+    """N = 6 generators per block for n = 3: indices run over 0..5, sorted."""
+    with pytest.raises(ValueError, match="does not fit"):
+        BigradedElement(G, {key: 1})
+
+
+def _dense(amb, mono):
+    exps = [0] * amb.count
+    for g in mono:
+        exps[g] += 1
+    return tuple(exps)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_terms_order_matches_dense_exponent_order(n, restricted):
+    """terms() sorts sorted index tuples as the dense key (degree, -E, mask) would."""
+    amb = Generators(n, 7, restricted=restricted)
+    monos = _monomials_up_to(Generators(n, 7), 5)
+    rng = Random(n)
+
+    def dense_key(t):
+        mask, mono = t[0]
+        return (mask.bit_count() + 2 * len(mono), tuple(-e for e in _dense(amb, mono)), mask)
+
+    for _ in range(40):
+        picks = rng.sample(monos, k=rng.randint(1, 12))
+        elem = BigradedElement(amb, {m: rng.randrange(1, 7) for m in picks})
+        elem = elem * elem + elem
+        assert list(elem.terms()) == sorted(elem._terms.items(), key=dense_key)
 
 
 def test_mixed_generator_sets_rejected():
@@ -237,7 +276,7 @@ def test_monomials_in_mask_scan_order():
     amb = Generators(3, 5)
     for d in range(6):
         scan = [
-            (mask, exps)
+            (mask, tuple(g for g, e in enumerate(exps) for _ in range(e)))
             for mask in range(1 << amb.count)
             if mask.bit_count() <= d
             for exps in sorted(product(range(d + 1), repeat=amb.count))
@@ -246,16 +285,11 @@ def test_monomials_in_mask_scan_order():
         assert _monomials_up_to(amb, d) == scan
 
 
-def test_exp_vectors_match_product_order():
-    for count in (1, 2, 4):
-        for budget in range(4):
-            expected = [e for e in product(range(budget + 1), repeat=count) if sum(e) <= budget]
-            assert _exp_vectors(count, budget) == expected
-
-
 def test_generator_counts_cached_outside_equality():
     amb, fresh = Generators(4, 7), Generators(4, 7)
     assert amb.count == 10
+    assert "pairs" not in vars(amb)  # count is C(n, 2) in closed form
+    assert len(amb.pairs) == 6
     assert {"pairs", "count"} <= vars(amb).keys()
     assert amb == fresh and hash(amb) == hash(fresh)
 

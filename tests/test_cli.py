@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from frattini import cli, koszul, younghook
+from frattini import bocksteindga, cli, koszul, younghook
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -472,7 +472,7 @@ def test_internal_error_while_rendering_prints_no_partial_report(monkeypatch):
     assert invoke(HEISENBERG + ["--format", "json"])[0] == EXIT_OK
 
 
-def test_bockstein_sweep_over_budget_exits_4_quickly():
+def test_bockstein_sweep_over_budget_exits_4_quickly(monkeypatch):
     start = time.perf_counter()
     code, out, err = invoke(["bockstein", "-n", "12", "-p", "5", "--max-degree", "6"])
     assert time.perf_counter() - start < 1.0
@@ -480,15 +480,32 @@ def test_bockstein_sweep_over_budget_exits_4_quickly():
     assert out == ""
     assert err.startswith("error: 406481544 monomials of degree <= 6 exceed the sweep budget 1000000")
 
+    def no_images(a):
+        raise AssertionError("generator image listed before the sweep budget was checked")
+
+    monkeypatch.setattr(bocksteindga, "bockstein", no_images)
+    code, out, err = invoke(["bockstein", "-n", "100", "-p", "5"])
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == (
+        "error: 23132414997836611936 monomials of degree <= 6 exceed the sweep budget 1000000 (lower --max-degree)\n"
+    )
+
 
 def test_bockstein_sweep_past_recursion_depth():
-    """N = 45 + C(45, 2) = 1035 generators per block: deeper than the
+    """N = n + C(n, 2) generators per block (1035 at n = 45): deeper than the
     interpreter's recursion limit, so the monomial enumeration must not recurse."""
-    code, report = invoke_json(["bockstein", "-n", "45", "-p", "5", "--max-degree", "1", "--pairs", "5"])
-    assert code == EXIT_OK
-    assert report["sweep"]["monomials_checked"] == 1036
-    assert report["sweep"]["beta_squared_violations"] == 0
-    assert report["sweep"]["leibniz_violations"] == 0
+    for n, monomials in ((45, 1036), (60, 1831)):
+        code, report = invoke_json(["bockstein", "-n", str(n), "-p", "5", "--max-degree", "1", "--pairs", "5"])
+        assert code == EXIT_OK
+        assert report["sweep"]["monomials_checked"] == monomials
+        assert report["sweep"]["beta_squared_violations"] == 0
+        assert report["sweep"]["leibniz_violations"] == 0
+        assert report["formulas"][-1] == {
+            "generator": f"z({n - 1},{n})",
+            "image": f"z{n - 1} x{n} - z{n} x{n - 1}",
+            "restricted_image": f"s{n - 1} x{n} - s{n} x{n - 1}",
+        }
 
 
 def test_size_warning_reported_by_koszul_not_unp(monkeypatch):
