@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, isqrt
 from random import Random
 from typing import Iterator, Mapping
 
@@ -96,6 +96,17 @@ class Generators:
         if not 1 <= i < j <= self.n:
             raise ValueError(f"({i}, {j}) is not a pair with 1 <= i < j <= {self.n}")
         return self.n + (i - 1) * (2 * self.n - i) // 2 + j - i - 1
+
+    def _pair_of(self, g: int) -> tuple[int, int]:
+        """The pair (i, j) with ``_pair(i, j) == g``, without building ``pairs``.
+
+        Counted from the last pair, r = C(n, 2) - 1 - (g - n) falls in the
+        t-th row from the end (i = n - t, t pairs) for t = (1 + isqrt(8r + 1)) // 2,
+        at the (r - C(t, 2))-th pair from that row's end.
+        """
+        r = comb(self.n, 2) - 1 - (g - self.n)
+        t = (1 + isqrt(8 * r + 1)) // 2
+        return self.n - t, self.n - (r - comb(t, 2))
 
     def x(self, i: int) -> "BigradedElement":
         return BigradedElement(self, {(1 << self._single(i), ()): 1})
@@ -185,7 +196,7 @@ def format_bigraded(elem: BigradedElement) -> str:
     def gen_name(g: int, block: str) -> str:
         if g < amb.n:
             return f"{block}{g + 1}"
-        i, j = amb.pairs[g - amb.n]
+        i, j = amb._pair_of(g)
         return f"{block}({i},{j})"
 
     parts: list[str] = []

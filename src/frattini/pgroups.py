@@ -14,13 +14,19 @@ lies in p K as well, so the Frattini subgroup is an F_p subspace of p K and
 its order is p to an F_p rank.  That rank and membership in S are the only
 reductions here, and both go through ``fplin``.
 
-Batch verification runs on int64 numpy arrays.  One product kernel,
-``PGroup._mult_rows``, serves every check: it sums c * x_i * y_j over the
-nonzero structure constants [b_i, b_j]_k = c only, and reduces mod p only the
-columns those read.  Residues are x - m (x // m) (``_mod``): numpy divides by a
-scalar far faster than it takes ``%``.  The modulus is capped and those
-constants are counted, so every intermediate stays exact.  Small groups have
-associativity checked on every triple of their Cayley table.
+Batch verification runs on int64 numpy arrays laid out coordinate-major: a
+batch of elements is an (n', ...) array with one contiguous row per
+coordinate, whether it holds the enumerated elements, sampled elements,
+module generators or the operands of a Cayley table.  One product kernel,
+``PGroup._mult``, serves every check.  The bracket is antisymmetric, so the
+kernel sums each pair once, as c (x_i y_j - x_j y_i) for i < j and each
+nonzero [b_i, b_j]_k = c, then writes a + b + p (bracket mod p) and reduces
+mod p^2 once.  Residues are x - m (x // m) (``_mod``): numpy divides by a
+scalar far faster than it takes ``%``.  The modulus is capped and the pairs
+per coordinate are counted, so every intermediate stays exact.  Small groups
+have associativity checked on every triple of their Cayley table; sampled
+checks draw and check their triples a fixed-size chunk at a time, so memory
+does not grow with the triple count.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ _PGROUP_PRIME_CAP = 46337
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_TRIPLES = 10 ** 5
 ASSOC_EXHAUSTIVE_BUDGET = 10 ** 8
+# Bytes of one sampled operand: a chunk holds _CHUNK_BYTES // (8 n') columns.
+_CHUNK_BYTES = 1 << 18
 
 
 def _mod(x: np.ndarray, m: int) -> np.ndarray:
@@ -64,14 +72,16 @@ def _mod(x: np.ndarray, m: int) -> np.ndarray:
 def _check_bracket_bound(terms: int, p: int) -> None:
     """Refuse a bracket kernel that could overflow int64.
 
-    ``PGroup._mult_rows`` adds c * x_i * y_j into coordinate k once per nonzero
-    structure constant [b_i, b_j]_k = c, each a product of three residues mod
-    p, before it reduces.  That sum is exact when terms * (p - 1)^3 < 2^63,
-    where terms is the largest count of such constants in one coordinate.
+    Before it reduces, ``PGroup._mult`` sums, into coordinate k,
+    c (x_i y_j - x_j y_i) over the pairs i < j with [b_i, b_j]_k = c nonzero
+    mod p.  c, x_i, x_j, y_i and y_j are residues mod p, so each term lies in
+    [-(p - 1)^3, (p - 1)^3], and the sum is exact when
+    terms * (p - 1)^3 < 2^63, where terms is the largest count of such pairs
+    in one coordinate.
     """
     if terms * (p - 1) ** 3 >= 1 << 63:
         raise ValueError(
-            f"{terms} nonzero structure constants in one coordinate times (p - 1)^3"
+            f"{terms} bracket pairs in one coordinate times (p - 1)^3"
             f" reach 2^63 at p = {p}; the bracket contraction would overflow int64"
         )
 
@@ -147,11 +157,9 @@ class PGroupElement:
 
 
 def _all_vectors(p: int, k: int) -> np.ndarray:
-    """All of [0, p)^k as rows, lexicographic."""
-    if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
+    """All of [0, p)^k as the columns of a (k, p^k) array, lexicographic."""
     grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * k), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, k)
+    return np.stack(grids).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
 
 
 def _pk_log_order(rows: np.ndarray, p: int) -> int:
@@ -196,18 +204,27 @@ class PGroup:
         self.q = int(self.p) ** 2
         n = algebra.gen_count
         table = _mod(np.array(algebra.bracket, dtype=np.int64).reshape(n, n, n), self.p)
-        if n:
-            _check_bracket_bound(int(np.count_nonzero(table, axis=(0, 1)).max()), int(self.p))
-        # The nonzero structure constants [b_i, b_j]_k = c as (i, j, k, c).
-        self._terms = [(i, j, k, int(table[i, j, k])) for i, j, k in np.argwhere(table).tolist()]
-        self._span = 1 + max((max(i, j) for i, j, _, _ in self._terms), default=-1)  # columns read
+        upper = np.triu_indices(n, 1)
+        brackets = table[upper]  # [b_i, b_j] for the pairs i < j, in triu order
+        _check_bracket_bound(int(np.count_nonzero(brackets, axis=0).max(initial=0)), int(self.p))
+        # Per coordinate k that some bracket reaches, the pairs i < j with
+        # [b_i, b_j]_k = c nonzero mod p, as (i, j, c).
+        self._brackets = [
+            (k, [(i, j, int(c)) for i, j, c in zip(*upper, brackets[:, k]) if c])
+            for k in np.flatnonzero(brackets.any(axis=0)).tolist()
+        ]
+        # Coordinates the bracket reads: i < j, so the largest j.
+        self._span = 1 + max((j for _, terms in self._brackets for _, j, _ in terms), default=-1)
+        self._chunk = _CHUNK_BYTES // (8 * max(n, 1))  # columns per sampled chunk
         if constraint is None:
-            self._s_basis = np.eye(n, dtype=np.int64)
+            self._s_basis, self._s_pivots = np.eye(n, dtype=np.int64), list(range(n))
         else:
             rows = _mod(np.asarray(list(constraint), dtype=np.int64).reshape(-1, n), self.p)
             red, self._s_pivots = fplin.rref(FpMatrix(rows, self.p))
             self._s_basis = red.entries[: len(self._s_pivots)].copy()
         self.s_dim = self._s_basis.shape[0]
+        # Coordinates off the pivots that S reaches; the RREF basis is the identity on its pivots.
+        self._s_mixed = np.setdiff1d(np.flatnonzero(self._s_basis.any(axis=0)), self._s_pivots)
         self.constrained = constraint is not None
 
     # -- structure ------------------------------------------------------
@@ -216,21 +233,21 @@ class PGroup:
     def order(self) -> int:
         return int(self.p) ** (self.algebra.gen_count + self.s_dim)
 
-    def _member_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask: which rows reduce into S mod p."""
+    def _members(self, cols: np.ndarray) -> np.ndarray:
+        """Boolean mask over the columns of an (n', m) batch: which reduce into S mod p."""
         if not self.constrained:
-            return np.ones(rows.shape[0], dtype=bool)
-        red = fplin._reduce_rows(_mod(rows, self.p), self._s_basis, self._s_pivots, self.p)
+            return np.ones(cols.shape[1], dtype=bool)
+        red = fplin._reduce_rows(_mod(cols.T, self.p), self._s_basis, self._s_pivots, self.p)
         return ~red.any(axis=1)
 
     def contains(self, x: PGroupElement) -> bool:
-        return bool(self._member_rows(self._row(x))[0])
+        return bool(self._members(self._col(x))[0])
 
-    def _row(self, x: PGroupElement) -> np.ndarray:
+    def _col(self, x: PGroupElement) -> np.ndarray:
         coords = np.asarray(x.coords, dtype=np.int64)
         if coords.shape != (self.algebra.gen_count,):
             raise ValueError(f"expected {self.algebra.gen_count} coordinates")
-        return _mod(coords, self.q).reshape(1, -1)
+        return _mod(coords, self.q).reshape(-1, 1)
 
     def element(self, coords) -> PGroupElement:
         """Normalize coordinates mod p^2; raises ConstraintViolation off S."""
@@ -244,46 +261,57 @@ class PGroup:
 
     # -- group operations -------------------------------------------------
 
-    def _mult_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched product of int64 residue rows mod p^2 (broadcastable shapes, never
-        written); the bracket reduces mod p only the ``_span`` columns it reads
-        and costs one multiply-add per nonzero structure constant."""
-        ra = _mod(a[..., :self._span], self.p)
-        rb = _mod(b[..., :self._span], self.p)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        for i, j, k, c in self._terms:
-            out[..., k] += c * ra[..., i] * rb[..., j]
-        del ra, rb  # the sampled checks pass 10^5-row arrays; free these before reducing
-        out = _mod(out, self.p)
-        out *= self.p
-        out += a + b
+    def _mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Batched product of coordinate-major int64 residues mod p^2.
+
+        a and b are (n', ...) arrays of broadcastable shapes and are never
+        written.  On the residues mod p of the ``_span`` coordinates read, the
+        bracket in coordinate k sums c (x_i y_j - x_j y_i) over the pairs i < j
+        with [b_i, b_j]_k = c (one pair per coordinate in the free and U(n)
+        algebras); the result is a + b + p (bracket mod p), reduced mod p^2
+        once.
+        """
+        out = a + b
+        ra = _mod(a[:self._span], self.p)
+        rb = _mod(b[:self._span], self.p)
+        for k, terms in self._brackets:
+            br = None
+            for i, j, c in terms:
+                d = ra[i] * rb[j]
+                d -= ra[j] * rb[i]
+                if c != 1:
+                    d *= c
+                br = d if br is None else np.add(br, d, out=br)
+            br = _mod(br, self.p)
+            br *= self.p
+            out[k] += br
         return _mod(out, self.q)
 
     def _mult_members(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``_mult_rows`` on rows that must reduce into S; raises ConstraintViolation otherwise."""
-        if not (self._member_rows(a).all() and self._member_rows(b).all()):
+        """``_mult`` on (n', m) batches that must reduce into S; raises ConstraintViolation otherwise."""
+        if not (self._members(a).all() and self._members(b).all()):
             raise ConstraintViolation("operands must satisfy the constraint")
-        return self._mult_rows(a, b)
+        return self._mult(a, b)
 
-    def _power_rows(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Each row to the k-th power (k >= 0) by square-and-multiply."""
-        acc = np.zeros_like(rows)
+    def _power(self, cols: np.ndarray, k: int) -> np.ndarray:
+        """Each column to the k-th power (k >= 0) by square-and-multiply."""
+        acc = np.zeros_like(cols)
         while k:
             if k & 1:
-                acc = self._mult_members(acc, rows)
-            rows = self._mult_members(rows, rows)
+                acc = self._mult_members(acc, cols)
+            cols = self._mult_members(cols, cols)
             k >>= 1
         return acc
 
     def multiply(self, x: PGroupElement, y: PGroupElement) -> PGroupElement:
-        return PGroupElement(tuple(int(c) for c in self._mult_members(self._row(x), self._row(y))[0]))
+        return PGroupElement(tuple(int(c) for c in self._mult_members(self._col(x), self._col(y))[:, 0]))
 
     def inverse(self, x: PGroupElement) -> PGroupElement:
         return self.element(tuple(-c for c in x.coords))
 
     def power(self, x: PGroupElement, k: int) -> PGroupElement:
-        row = self._row(self.inverse(x) if k < 0 else x)
-        return PGroupElement(tuple(int(c) for c in self._power_rows(row, abs(k))[0]))
+        col = self._col(self.inverse(x) if k < 0 else x)
+        return PGroupElement(tuple(int(c) for c in self._power(col, abs(k))[:, 0]))
 
     def order_of(self, x: PGroupElement) -> int:
         """Least k >= 1 with x^k = 1; always 1, p, or p^2 since x^p = p x."""
@@ -297,50 +325,63 @@ class PGroup:
 
     # -- enumeration and sampling ------------------------------------------
 
-    def _enumerate_rows(self, budget: int) -> np.ndarray:
+    def _enumerate(self, budget: int) -> np.ndarray:
+        """All elements as the columns of an (n', order) array, lexicographic."""
         if self.order > budget:
             raise BudgetExceeded(
                 f"order {self.order} exceeds the enumeration budget {budget}; use sampled mode"
             )
         n = self.algebra.gen_count
-        cs = _all_vectors(self.p, self.s_dim)
-        s_part = _mod(cs @ self._s_basis, self.p)
-        ts = _all_vectors(self.p, n)
-        rows = (s_part[:, None, :] + self.p * ts[None, :, :]).reshape(-1, n)
-        return rows[np.lexsort(rows.T[::-1])]
+        s_part = _mod(self._s_basis.T @ _all_vectors(self.p, self.s_dim), self.p)
+        cols = (s_part[:, :, None] + self.p * _all_vectors(self.p, n)[:, None, :]).reshape(n, -1)
+        return cols[:, np.lexsort(cols[::-1])]
 
     def elements(self, *, budget: int = DEFAULT_BUDGET) -> list[PGroupElement]:
         """All elements in coordinate-lexicographic order (budget-guarded)."""
-        return [PGroupElement(tuple(int(c) for c in row)) for row in self._enumerate_rows(budget)]
+        return [PGroupElement(tuple(col)) for col in self._enumerate(budget).T.tolist()]
 
-    def _sample_rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Uniform rows s + p t of pi^(-1)(S), left unreduced: entries are <= p - 1 + p (p - 1) < p^2."""
-        cs = rng.integers(0, self.p, size=(count, self.s_dim), dtype=np.int64)
-        ts = self.p * rng.integers(0, self.p, size=(count, self.algebra.gen_count), dtype=np.int64)
-        ts += _mod(cs @ self._s_basis, self.p)
-        return ts
+    def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` uniform elements s + p t of pi^(-1)(S) as an (n', count) array,
+        left unreduced: entries are <= p - 1 + p (p - 1) < p^2.  s = sum_r c_r S_r
+        is c_r on the r-th pivot of the RREF basis of S, so only the coordinates
+        in ``_s_mixed`` take a product."""
+        xs = self.p * rng.integers(0, self.p, size=(self.algebra.gen_count, count), dtype=np.int64)
+        cs = rng.integers(0, self.p, size=(self.s_dim, count), dtype=np.int64)
+        xs[self._s_pivots] += cs
+        xs[self._s_mixed] += _mod(self._s_basis[:, self._s_mixed].T @ cs, self.p)
+        return xs
 
     def _module_generators(self) -> np.ndarray:
+        """Generators of the group as a Z/p^2 module, as the columns of an (n', m) array."""
         n = self.algebra.gen_count
         if not self.constrained:
             return np.eye(n, dtype=np.int64)
-        return np.concatenate([self._s_basis, self.p * np.eye(n, dtype=np.int64)], axis=0)
+        return np.concatenate([self._s_basis.T, self.p * np.eye(n, dtype=np.int64)], axis=1)
 
     # -- verification --------------------------------------------------------
 
     def _subgroup_ranks(self) -> tuple[int, int, int]:
         """(log_p |Frattini|, commutator rank, exponent) from module generators,
         batched: the commutators of all generator pairs (``combinations`` order)
-        and the p-th powers are stacked rows, and ``_mult_members`` raises
+        and the p-th powers are stacked columns, and ``_mult_members`` raises
         ConstraintViolation on an operand off S, as ``multiply`` does."""
         gens = self._module_generators()
-        a, b = (gens[idx] for idx in np.triu_indices(len(gens), 1))
+        a, b = (gens[:, idx] for idx in np.triu_indices(gens.shape[1], 1))
         mul = self._mult_members
         comms = mul(mul(mul(a, b), _mod(-a, self.q)), _mod(-b, self.q))
-        comm_rank = _pk_log_order(comms, self.p)
-        frat_log = _pk_log_order(np.concatenate([comms, self._power_rows(gens, int(self.p))]), self.p)
+        comm_rank = _pk_log_order(comms.T, self.p)
+        frat_log = _pk_log_order(np.concatenate([comms, self._power(gens, int(self.p))], axis=1).T, self.p)
         exponent = self.q if _mod(gens, self.p).any() else (int(self.p) if self.order > 1 else 1)
         return frat_log, comm_rank, exponent
+
+    def _identity_inverse_ok(self, cols: np.ndarray) -> bool:
+        """Whether 0 is a two-sided identity for, and -x an inverse of, every column x."""
+        zero = np.zeros((self.algebra.gen_count, 1), dtype=np.int64)
+        return (
+            np.array_equal(self._mult(cols, zero), cols)
+            and np.array_equal(self._mult(zero, cols), cols)
+            and not self._mult(cols, _mod(-cols, self.q)).any()
+        )
 
     def verify(
         self,
@@ -361,10 +402,19 @@ class PGroup:
         computed once and looked up as base-p^2 codes (first coordinate most
         significant, below q^n' <= order^2 <= 464^2) among the sorted codes of
         the elements.  A product missing there fails closure, hence
-        associativity.  Identity, inverses and centrality are checked with
-        ``_mult_rows`` on the elements (or on the sampled rows) in every mode.
-        Exhaustive mode counts Omega_1 among the elements; sampled mode counts
-        nothing and reports rank n', as Omega_1 = p K.
+        associativity.  In exhaustive mode identity, inverses and centrality
+        are checked with ``_mult`` on the enumerated elements, and Omega_1 is
+        counted among them.
+
+        Sampled triples are drawn and checked ``_chunk`` columns at a time
+        (``_CHUNK_BYTES`` per operand), so memory stays flat as ``triples``
+        grows.  Each chunk draws x, y and z for associativity; in sampled mode
+        it then checks identity and inverses on x and draws omega = p w to
+        check against y for centrality.  A seed picks its triples chunk by
+        chunk in that order (each draw coordinate-major), so the triples of a
+        seed differ from those of the earlier all-at-once draws; the counts
+        reported never depend on the seed.  Sampled mode counts nothing and
+        reports rank n', as Omega_1 = p K.
         """
         if mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -380,36 +430,36 @@ class PGroup:
         n = self.algebra.gen_count
         frat_log, comm_rank, exponent = self._subgroup_ranks()
         log_order = n + self.s_dim
-        E = self._enumerate_rows(budget) if exhaustive else None
+        E = self._enumerate(budget) if exhaustive else None
+        mul = self._mult
 
+        ident_ok = pc_ok = True
         if assoc_exhaustive:
             weights = self.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            codes = E @ weights  # increasing, since E is lexicographic
-            table = self._mult_rows(E[:, None, :], E[None, :, :]) @ weights
+            codes = weights @ E  # increasing, since E is lexicographic
+            table = np.tensordot(weights, mul(E[:, :, None], E[:, None, :]), 1)
             M = np.searchsorted(codes, table)  # M[x, y]: index of E[x] * E[y]
-            assoc_ok = np.array_equal(codes[np.minimum(M, len(E) - 1)], table)
-            for z in range(len(E)) if assoc_ok else ():
+            assoc_ok = np.array_equal(codes[np.minimum(M, self.order - 1)], table)
+            for z in range(self.order) if assoc_ok else ():
                 if not np.array_equal(M[:, z][M], M[:, M[:, z]]):  # (xy)z, x(yz)
                     assoc_ok = False
                     break
             n_triples = self.order ** 3
         else:
-            xs, ys, zs = (self._sample_rows(rng, triples) for _ in range(3))
-            assoc_ok = np.array_equal(
-                self._mult_rows(self._mult_rows(xs, ys), zs),
-                self._mult_rows(xs, self._mult_rows(ys, zs)),
-            )
+            assoc_ok = True
+            for start in range(0, triples, self._chunk):
+                count = min(self._chunk, triples - start)
+                xs, ys, zs = (self._sample(rng, count) for _ in range(3))
+                assoc_ok = assoc_ok and np.array_equal(mul(mul(xs, ys), zs), mul(xs, mul(ys, zs)))
+                if not exhaustive:
+                    ident_ok = ident_ok and self._identity_inverse_ok(xs)
+                    omegas = _mod(self.p * self._sample(rng, count), self.q)
+                    pc_ok = pc_ok and np.array_equal(mul(omegas, ys), mul(ys, omegas))
             n_triples = triples
-        rows = E if exhaustive else xs
-        zero = np.zeros((1, n), dtype=np.int64)
-        ident_ok = (
-            np.array_equal(self._mult_rows(rows, zero), rows)
-            and np.array_equal(self._mult_rows(zero, rows), rows)
-            and not self._mult_rows(rows, _mod(-rows, self.q)).any()
-        )
 
         if exhaustive:
-            omega = np.nonzero(~_mod(E, self.p).any(axis=1))[0]  # p x = 0 iff x is in p K
+            ident_ok = self._identity_inverse_ok(E)
+            omega = np.nonzero(~_mod(E, self.p).any(axis=0))[0]  # p x = 0 iff x is in p K
             omega1_rank = 0
             c = len(omega)
             while c > 1:
@@ -419,16 +469,14 @@ class PGroup:
                 omega1_rank += 1
             pc_pairs = 0
             for w in omega:
-                if not np.array_equal(self._mult_rows(E[w:w + 1], E), self._mult_rows(E, E[w:w + 1])):
+                if not np.array_equal(mul(E[:, w:w + 1], E), mul(E, E[:, w:w + 1])):
+                    pc_ok = False
                     break
-                pc_pairs += len(E)
-            pc_ok = pc_pairs == len(omega) * len(E)
-            exponent_seen = self.q if len(omega) < len(E) else (int(self.p) if len(E) > 1 else 1)
+                pc_pairs += self.order
+            exponent_seen = self.q if len(omega) < self.order else (int(self.p) if self.order > 1 else 1)
             assert exponent_seen == exponent
             report_mode = "exhaustive"
         else:
-            omegas = _mod(self.p * self._sample_rows(rng, triples), self.q)
-            pc_ok = np.array_equal(self._mult_rows(omegas, ys), self._mult_rows(ys, omegas))
             pc_pairs = triples
             omega1_rank = n  # Omega_1 = p K
             report_mode = "sampled"

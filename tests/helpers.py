@@ -215,7 +215,9 @@ def _bracket_table(group):
 
 
 def reference_mult_rows(group, a, b):
-    """``PGroup._mult_rows`` as a dense einsum over all n'^3 structure constants."""
+    """``PGroup._mult`` on row-major (..., n') elements, as a dense einsum over all
+    n'^3 structure constants; callers transpose the kernel's coordinate-major
+    batches, so the two share no layout code."""
     br = np.einsum("...i,...j,ijk->...k", a % group.p, b % group.p, _bracket_table(group)) % group.p
     return ((a + b) % group.q + group.p * br) % group.q
 
@@ -262,7 +264,7 @@ def reference_module_log_order(rows, p):
 
 
 def reference_member_rows(group, rows):
-    """``PGroup._member_rows`` by one outer-product step per basis row of S."""
+    """``PGroup._members`` on row-major elements, by one outer-product step per basis row of S."""
     if not group.constrained:
         return np.ones(rows.shape[0], dtype=bool)
     red = np.mod(rows, group.p)
@@ -285,7 +287,7 @@ def reference_subgroup_ranks(group):
             raise ConstraintViolation("operands must satisfy the constraint")
         return reference_mult_rows(group, x, y)
 
-    gens = [row.reshape(1, -1) for row in group._module_generators() % q]
+    gens = [row.reshape(1, -1) for row in group._module_generators().T % q]
     comms = [mul(mul(mul(a, b), (-a) % q), (-b) % q) for a, b in combinations(gens, 2)]
     powers = []
     for g in gens:
@@ -313,7 +315,7 @@ def reference_exhaustive_report(group):
     every element.
     """
     p, q, n = int(group.p), group.q, group.algebra.gen_count
-    E = group._enumerate_rows(group.order)
+    E = group._enumerate(group.order).T
     zero = np.zeros((1, n), dtype=np.int64)
     ident_ok = (
         np.array_equal(reference_mult_rows(group, E, zero), E)

@@ -137,6 +137,21 @@ def test_formatting_minimal_magnitude():
     assert format_bigraded(G.zeta(1) * G.zeta(1)) == "z1^2"
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 100])
+def test_pair_names_without_the_pair_table(n):
+    """``format_bigraded`` names z_(i,j) and x_(i,j) by the inverse of ``_pair``:
+    every pair reads as the ``pairs`` table names it, and formatting restricted
+    elements never builds the table of their fresh restricted ambient."""
+    amb = Generators(n, 5)
+    restricted = []
+    for i, j in amb.pairs:
+        assert str(amb.zeta_pair(i, j) * amb.x_pair(i, j)) == f"z({i},{j}) x({i},{j})"
+        elem = restrict_to_unp(amb.zeta_pair(i, j) * amb.x(1))
+        assert str(elem) == f"s({i},{j}) x1"
+        restricted.append(elem.ambient)
+    assert not any("pairs" in r.__dict__ for r in restricted)
+
+
 def test_index_validation():
     with pytest.raises(ValueError):
         G.x(4)

@@ -214,8 +214,8 @@ def test_built_in_algebras_within_bracket_bound(n):
 def test_bracket_bound_enforced_at_construction(monkeypatch):
     checked = []
     monkeypatch.setattr(pgroups, "_check_bracket_bound", lambda terms, p: checked.append((terms, p)))
-    PGroup(free_two_step(2), 5)  # [b_1, b_2] and [b_2, b_1] both land in the central coordinate
-    assert checked == [(2, 5)]
+    PGroup(free_two_step(2), 5)  # the one pair (b_1, b_2) lands in the central coordinate
+    assert checked == [(1, 5)]
 
 
 def _dense_group(gens, central, p, constrained):
@@ -249,27 +249,35 @@ def _kernel_group(kind, size, p):
 
 
 def _operand_pairs(g):
-    """The operand shapes ``verify`` passes to ``_mult_rows``, on random residue rows."""
+    """The operand shapes ``verify`` passes to ``_mult``, on random coordinate-major
+    residues: 40 elements as the columns of (n', 40) arrays."""
     n = g.algebra.gen_count
     rng = np.random.default_rng(g.p)
     if g.constrained:
-        x, y = (g._sample_rows(rng, 40) for _ in range(2))
-    else:  # any rows of K
-        x, y = (rng.integers(0, g.q, size=(40, n)) for _ in range(2))
-    zero = np.zeros((1, n), dtype=np.int64)
+        x, y = (g._sample(rng, 40) for _ in range(2))
+    else:  # any elements of K
+        x, y = (rng.integers(0, g.q, size=(n, 40)) for _ in range(2))
+    zero = np.zeros((n, 1), dtype=np.int64)
     return (
         (x, y),  # sampled triples
         (x, zero), (zero, x), (x, (-x) % g.q),  # identity and inverses
-        (x[:1], y), (y, x[:1]),  # one order-p candidate against all rows
-        (x[:, None, :], y[None, :, :]),  # Cayley table
+        (x[:, :1], y), (y, x[:, :1]),  # one order-p candidate against all elements
+        (x[:, None, :], y[:, :, None]),  # Cayley table, (n', 1, N) x (n', N, 1)
+        (x[:, :, None], y[:, None, :]),  # and transposed, as verify lays it out
     )
+
+
+def _row_major(a):
+    """A coordinate-major (n', ...) batch as the reference's (..., n') rows."""
+    return np.moveaxis(a, 0, -1)
 
 
 @pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
 def test_mult_rows_matches_reference(kind, size, p):
     g = _kernel_group(kind, size, p)
     for a, b in _operand_pairs(g):
-        assert np.array_equal(g._mult_rows(a, b), reference_mult_rows(g, a, b)), (a.shape, b.shape)
+        want = reference_mult_rows(g, _row_major(a), _row_major(b))
+        assert np.array_equal(_row_major(g._mult(a, b)), want), (a.shape, b.shape)
 
 
 @pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
@@ -277,7 +285,7 @@ def test_mult_rows_leaves_operands_unchanged(kind, size, p):
     g = _kernel_group(kind, size, p)
     for a, b in _operand_pairs(g):  # broadcast views of the same two arrays
         before = a.copy(), b.copy()
-        g._mult_rows(a, b)
+        g._mult(a, b)
         assert np.array_equal(a, before[0]) and np.array_equal(b, before[1]), (a.shape, b.shape)
 
 
@@ -322,11 +330,11 @@ def test_pk_log_order_rejects_rows_outside_pk(p):
 def test_member_rows_matches_reference(shape, p):
     g = _dense_group(*shape, p, constrained=True)
     rng = np.random.default_rng([p, *shape])
-    on = g._sample_rows(rng, 30)
-    off = rng.integers(0, g.q, size=(30, g.algebra.gen_count))
-    rows = np.concatenate([on, off])
-    got = g._member_rows(rows)
-    assert np.array_equal(got, reference_member_rows(g, rows))
+    on = g._sample(rng, 30)
+    off = rng.integers(0, g.q, size=(g.algebra.gen_count, 30))
+    cols = np.concatenate([on, off], axis=1)
+    got = g._members(cols)
+    assert np.array_equal(got, reference_member_rows(g, cols.T))
     assert got[:30].all() and not got[30:].all()
 
 
@@ -343,28 +351,28 @@ def test_table_report_matches_reference_loop(which, n, p):
     assert g.verify(mode="exhaustive") == reference_exhaustive_report(g)
 
 
-_KERNEL = PGroup._mult_rows
+_KERNEL = PGroup._mult
 
 
 def _non_bilinear(self, a, b):
     """Adds p x_0^2 y_1 to the last coordinate: no 2-cocycle, so not associative,
     and x (-x) = -p x_0^2 x_1 in that coordinate, so -x is no inverse."""
     out = _KERNEL(self, a, b)
-    out[..., -1] = (out[..., -1] + self.p * ((a[..., 0] % self.p) ** 2 * (b[..., 1] % self.p))) % self.q
+    out[-1] = (out[-1] + self.p * ((a[0] % self.p) ** 2 * (b[1] % self.p))) % self.q
     return out
 
 
 def _leaves_subgroup(self, a, b):
     """Adds 1 to the last coordinate, which U(n) constrains to p Z/p^2."""
     out = _KERNEL(self, a, b)
-    out[..., -1] = (out[..., -1] + 1) % self.q
+    out[-1] = (out[-1] + 1) % self.q
     return out
 
 
 def _non_central(self, a, b):
     """Adds p (x // p)_0 (y mod p)_0 to the first coordinate: w = (p, 0, ...) no longer commutes."""
     out = _KERNEL(self, a, b)
-    out[..., 0] = (out[..., 0] + self.p * ((a[..., 0] // self.p) * (b[..., 0] % self.p))) % self.q
+    out[0] = (out[0] + self.p * ((a[0] // self.p) * (b[0] % self.p))) % self.q
     return out
 
 
@@ -374,8 +382,8 @@ def _one_sided_identity(side):
 
     def kernel(self, a, b):
         out = _KERNEL(self, a, b)
-        f = (a[..., 0] + b[..., 0]) % self.p * ((b if side == "left" else a)[..., 0] % self.p)
-        out[..., 0] = (out[..., 0] + self.p * f) % self.q
+        f = (a[0] + b[0]) % self.p * ((b if side == "left" else a)[0] % self.p)
+        out[0] = (out[0] + self.p * f) % self.q
         return out
 
     return kernel
@@ -384,13 +392,13 @@ def _one_sided_identity(side):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
 def test_one_sided_identity_fails(monkeypatch, side, mode):
-    monkeypatch.setattr(PGroup, "_mult_rows", _one_sided_identity(side))
+    monkeypatch.setattr(PGroup, "_mult", _one_sided_identity(side))
     assert not unp_group(2, 3).verify(mode=mode).identity_inverse_ok
 
 
 @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
 def test_non_bilinear_product_fails_associativity(monkeypatch, mode):
-    monkeypatch.setattr(PGroup, "_mult_rows", _non_bilinear)
+    monkeypatch.setattr(PGroup, "_mult", _non_bilinear)
     rep = unp_group(2, 3).verify(mode=mode)
     assert not rep.associativity_ok and not rep.identity_inverse_ok
     assert rep.associativity_triples == (243 ** 3 if mode == "exhaustive" else pgroups.DEFAULT_TRIPLES)
@@ -406,10 +414,22 @@ def test_product_leaving_the_subgroup_fails_closure(monkeypatch):
     # Under the patched kernel _subgroup_ranks would raise on a product operand off S.
     ranks = g._subgroup_ranks()
     monkeypatch.setattr(g, "_subgroup_ranks", lambda: ranks)
-    monkeypatch.setattr(PGroup, "_mult_rows", _leaves_subgroup)
+    monkeypatch.setattr(PGroup, "_mult", _leaves_subgroup)
     rep = g.verify(mode="exhaustive")  # (8, 8, 6) * 1 = (8, 8, 7) sorts past every element
     assert not rep.associativity_ok
     assert rep.associativity_exhaustive and rep.associativity_triples == 243 ** 3
+
+
+def test_product_leaving_the_subgroup_fails_sampled(monkeypatch):
+    """Sampled mode: (x y) z and x (y z) both gain 2 in the last coordinate,
+    but x * 0 = x + (0, 0, 1) is no identity."""
+    g = unp_group(2, 3)
+    ranks = g._subgroup_ranks()
+    monkeypatch.setattr(g, "_subgroup_ranks", lambda: ranks)
+    monkeypatch.setattr(PGroup, "_mult", _leaves_subgroup)
+    rep = g.verify(mode="sampled")
+    assert not rep.identity_inverse_ok
+    assert rep.associativity_triples == pgroups.DEFAULT_TRIPLES
 
 
 @pytest.mark.parametrize("p", _PRIMES)
@@ -422,15 +442,15 @@ def test_subgroup_ranks_take_a_few_batched_products(monkeypatch, p):
         calls.append(np.broadcast_shapes(a.shape, b.shape))
         return _KERNEL(self, a, b)
 
-    monkeypatch.setattr(PGroup, "_mult_rows", counting)
+    monkeypatch.setattr(PGroup, "_mult", counting)
     g = unp_group(3, p)  # 3 + 6 module generators, 36 pairs
     g._subgroup_ranks()
     assert len(calls) == 3 + int(p).bit_length() + bin(p).count("1")
-    assert calls[:3] == [(36, 6)] * 3 and set(calls[3:]) == {(9, 6)}
+    assert calls[:3] == [(6, 36)] * 3 and set(calls[3:]) == {(6, 9)}
 
 
 def test_subgroup_ranks_reject_products_off_the_constraint(monkeypatch):
-    monkeypatch.setattr(PGroup, "_mult_rows", _leaves_subgroup)
+    monkeypatch.setattr(PGroup, "_mult", _leaves_subgroup)
     g = unp_group(2, 3)
     with pytest.raises(ConstraintViolation):  # (1, 0, 0) * (0, 1, 0) = (1, 1, 4) leaves S
         g._subgroup_ranks()
@@ -445,18 +465,52 @@ def test_subgroup_ranks_reject_products_off_the_constraint(monkeypatch):
     ],
 )
 def test_non_central_order_p_product_fails(monkeypatch, n, p, mode, pairs):
-    monkeypatch.setattr(PGroup, "_mult_rows", _non_central)
+    monkeypatch.setattr(PGroup, "_mult", _non_central)
     rep = unp_group(n, p).verify(mode=mode)
     assert not rep.pc_ok
     assert rep.pc_pairs == pairs
 
 
-def test_sampled_verify_memory():
+def _sampled_verify_peak(triples):
     g = unp_group(4, 7)
     tracemalloc.start()
     try:
-        g.verify(mode="sampled", seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        g.verify(mode="sampled", seed=0, triples=triples)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 70 * 2 ** 20, f"tracemalloc peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_sampled_verify_memory():
+    peak = _sampled_verify_peak(pgroups.DEFAULT_TRIPLES)  # about 3 MiB
+    assert peak < 4 * 2 ** 20, f"tracemalloc peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_sampled_verify_memory_does_not_grow_with_triples():
+    """Triples are drawn and checked a chunk at a time: ten times the default
+    count peaks no higher (drawing them all at once peaked above 500 MiB)."""
+    peak = _sampled_verify_peak(10 * pgroups.DEFAULT_TRIPLES)
+    assert peak < 4 * 2 ** 20, f"tracemalloc peak {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_sampled_products_see_each_triple_once(monkeypatch, offset):
+    """Each chunk makes the nine sampled products (four for associativity,
+    three for identity and inverses, two for centrality) on the same columns,
+    and the chunks cover exactly ``triples`` columns."""
+    g = unp_group(2, 3)
+    triples = 1 if offset is None else g._chunk + offset
+    ranks = g._subgroup_ranks()
+    monkeypatch.setattr(g, "_subgroup_ranks", lambda: ranks)
+    widths = []
+
+    def counting(self, a, b):
+        widths.append(np.broadcast_shapes(a.shape, b.shape)[1:])
+        return _KERNEL(self, a, b)
+
+    monkeypatch.setattr(PGroup, "_mult", counting)
+    rep = g.verify(mode="sampled", triples=triples)
+    assert rep.associativity_ok and rep.identity_inverse_ok and rep.pc_ok
+    full, rest = divmod(triples, g._chunk)
+    chunks = [g._chunk] * full + ([rest] if rest else [])
+    assert widths == [(w,) for w in chunks for _ in range(9)]
