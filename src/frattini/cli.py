@@ -10,10 +10,12 @@ Subcommands:
 
 Exit codes: 0 success; 1 a verification disagreed where agreement is
 guaranteed; 2 Bockstein block not contained in the input subspace; 3 invalid
-input; 4 a resource limit was hit: the group enumeration budget (retry with
---mode sampled), the Bockstein sweep budget (lower --max-degree) or the
-available memory (MemoryError, "error: out of memory"); 5 internal error (any
-other exception, "error: internal error (...)", nothing on stdout).
+input, including group -n above GROUP_N_CAP; 4 a resource limit was hit: the
+group enumeration budget (retry with --mode sampled), the Bockstein sweep
+budget (lower --max-degree), the series expansion bound (truncate + 1)(w + r + 1)
+<= EXPANSION_CAP of series, koszul and unp (lower --truncate) or the available
+memory (MemoryError, "error: out of memory"); 5 internal error (any other
+exception, "error: internal error (...)", nothing on stdout).
 
 Machine-readable output (--format json) is byte-identical for identical
 arguments and seed.  The only environment variable consulted is NO_COLOR.
@@ -49,6 +51,17 @@ EXIT_NOT_CONTAINED = 2
 EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+# ``group -n`` above this is refused: the commutator ranks take C(m, 2)
+# products of n' = C(n + 1, 2) coordinates from m ~ n' module generators, so
+# memory grows as n^6.  U(n, 7) in sampled mode took 2.3 s and 299 MiB at
+# n = 20, and 6.2 s and 777 MiB at n = 24 (2-core x86-64, numpy 2.4).
+GROUP_N_CAP = 20
+# Expanding a series through degree T with denominator exponent v = w + r
+# runs about (T + 1)(v + 1) big-integer steps and holds T + 1 coefficients;
+# at the cap ``series --format json`` took 0.7-1.3 s and up to 114 MiB on that
+# box, and 3.7 s and 364 MiB at four times it.
+EXPANSION_CAP = 10 ** 6
 
 
 class CliError(Exception):
@@ -170,10 +183,22 @@ def _check_truncation(truncation: int | None) -> None:
         raise CliError(EXIT_BAD_INPUT, "truncation degree must be nonnegative")
 
 
-def _series_report(q: series.PoincarePolynomial, w: int, r: int, truncation: int | None) -> dict:
-    """Expansion of q(t) / (1 - t^2)^(w+r) and the numerator checks; the
-    truncation degree defaults to 2(w + r)."""
+def _expansion_degree(truncation: int | None, w: int, r: int) -> int:
+    """The truncation degree of the series, 2(w + r) by default, refused with
+    exit 4 when the expansion would take more than ``EXPANSION_CAP`` steps."""
     truncate = 2 * (w + r) if truncation is None else truncation
+    steps = (truncate + 1) * (w + r + 1)
+    if steps > EXPANSION_CAP:
+        raise CliError(
+            EXIT_BUDGET,
+            f"expanding through degree {truncate} with w + r = {w + r} takes"
+            f" (truncate + 1)(w + r + 1) = {steps} steps; capped at {EXPANSION_CAP} (lower --truncate)",
+        )
+    return truncate
+
+
+def _series_report(q: series.PoincarePolynomial, w: int, r: int, truncate: int) -> dict:
+    """Expansion of q(t) / (1 - t^2)^(w+r) through degree ``truncate`` and the numerator checks."""
     s = series.PoincareSeries(q, w + r)
     chk = series.checks(q, w, r)
     return {
@@ -203,9 +228,10 @@ def _complex_report(
     """Report shared by koszul and unp.  ``caught`` records warnings as this
     runs; those from ``betti`` are listed before those from construction."""
     built = len(caught)
+    truncate = _expansion_degree(truncation, cx.w, cx.r)
     table = koszul.betti(cx, with_representatives=with_representatives)
     warnings_out = [str(item.message) for item in caught[built:] + caught[:built]]
-    poincare = _series_report(series.from_betti(table), cx.w, cx.r, truncation)
+    poincare = _series_report(series.from_betti(table), cx.w, cx.r, truncate)
     poincare["denominator_exponent"] = cx.top_degree
 
     if not cx.hypothesis_met:
@@ -315,6 +341,12 @@ def run_group(args: argparse.Namespace) -> tuple[dict, int]:
     n = args.n
     if n < 1:
         raise CliError(EXIT_BAD_INPUT, "n must be at least 1")
+    if n > GROUP_N_CAP:
+        raise CliError(
+            EXIT_BAD_INPUT,
+            f"n = {n}: the commutator check multiplies C(m, 2) pairs of {comb(n + 1, 2)}"
+            f" coordinates; capped at n <= {GROUP_N_CAP}",
+        )
     p = _prime(args.p)
     which = args.group
     try:
@@ -416,7 +448,8 @@ def run_series(args: argparse.Namespace) -> tuple[dict, int]:
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     _check_truncation(args.truncate)
-    report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, args.truncate)}
+    truncate = _expansion_degree(args.truncate, w, r)
+    report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, truncate)}
     return report, EXIT_OK
 
 

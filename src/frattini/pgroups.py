@@ -18,11 +18,12 @@ Batch verification runs on int64 numpy arrays laid out coordinate-major: a
 batch of elements is an (n', ...) array with one contiguous row per
 coordinate, whether it holds the enumerated elements, sampled elements,
 module generators or the operands of a Cayley table.  One product kernel,
-``PGroup._mult``, serves every check.  The bracket is antisymmetric, so the
-kernel sums each pair once, as c (x_i y_j - x_j y_i) for i < j and each
-nonzero [b_i, b_j]_k = c, then writes a + b + p (bracket mod p) and reduces
-mod p^2 once.  Residues are x - m (x // m) (``_mod``): numpy divides by a
-scalar far faster than it takes ``%``.  The modulus is capped and the pairs
+``PGroup._mult``, serves every check.  The algebra stores only the nonzero
+brackets [b_i, b_j] with i < j, so the kernel sums each pair once, as
+c (x_i y_j - x_j y_i) for each [b_i, b_j]_k = c nonzero mod p, then writes
+a + b + p (bracket mod p) and reduces mod p^2 once.  Residues are
+x - m (x // m) (``_mod``): numpy divides by a scalar far faster than it
+takes ``%``.  The modulus is capped and the pairs
 per coordinate are counted, so every intermediate stays exact.  Small groups
 have associativity checked on every triple of their Cayley table; sampled
 checks draw and check their triples a fixed-size chunk at a time, so memory
@@ -77,7 +78,7 @@ def _check_bracket_bound(terms: int, p: int) -> None:
     mod p.  c, x_i, x_j, y_i and y_j are residues mod p, so each term lies in
     [-(p - 1)^3, (p - 1)^3], and the sum is exact when
     terms * (p - 1)^3 < 2^63, where terms is the largest count of such pairs
-    in one coordinate.
+    in one coordinate, counted by ``PGroup.__init__`` from the algebra's map.
     """
     if terms * (p - 1) ** 3 >= 1 << 63:
         raise ValueError(
@@ -98,35 +99,38 @@ class BudgetExceeded(RuntimeError):
 class TwoStepLieAlgebra:
     """Structure constants of a 2-step nilpotent Lie algebra.
 
-    ``bracket[i][j]`` is the integer coefficient vector of [b_i, b_j]; it must
-    be antisymmetric, vanish on the diagonal and whenever either argument is
-    central, and land inside the span of the central indices.
+    ``bracket`` maps each pair (i, j) with i < j to the integer coefficients
+    {k: c} of [b_i, b_j]; a mapping or (key, value) pairs are accepted, and
+    the nonzero brackets are stored as a sorted tuple of ((i, j), ((k, c), ...))
+    pairs.  [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0 are implied, so keys
+    must satisfy 0 <= i < j < gen_count, neither argument of a nonzero bracket
+    may be central, and every value must lie in the span of the central indices.
     """
 
     gen_count: int
-    bracket: tuple[tuple[tuple[int, ...], ...], ...]
+    bracket: tuple[tuple[tuple[int, int], tuple[tuple[int, int], ...]], ...]
     central: frozenset[int]
 
     def __post_init__(self):
         n = self.gen_count
-        object.__setattr__(self, "central", frozenset(self.central))
-        br = tuple(tuple(tuple(int(c) for c in vec) for vec in row) for row in self.bracket)
-        object.__setattr__(self, "bracket", br)
-        if len(br) != n or any(len(row) != n for row in br):
-            raise ValueError("bracket table must be gen_count x gen_count")
-        for i in range(n):
-            for j in range(n):
-                vec = br[i][j]
-                if len(vec) != n:
-                    raise ValueError("bracket values must be coefficient vectors of full length")
-                if i == j and any(vec):
-                    raise ValueError(f"[b_{i}, b_{i}] must vanish")
-                if tuple(-c for c in vec) != br[j][i]:
-                    raise ValueError(f"bracket table is not antisymmetric at ({i}, {j})")
-                if (i in self.central or j in self.central) and any(vec):
-                    raise ValueError(f"central generator occurs in a nonzero bracket ({i}, {j})")
-                if any(c for k, c in enumerate(vec) if k not in self.central):
-                    raise ValueError(f"[b_{i}, b_{j}] leaves the center")
+        central = frozenset(self.central)
+        object.__setattr__(self, "central", central)
+        if not all(0 <= k < n for k in central):
+            raise ValueError(f"central indices must lie in range({n})")
+        entries = []
+        for (i, j), vec in dict(self.bracket).items():
+            i, j = int(i), int(j)
+            if not 0 <= i < j < n:
+                raise ValueError(f"bracket key ({i}, {j}) needs 0 <= i < j < {n}")
+            vec = tuple(sorted((int(k), int(c)) for k, c in dict(vec).items() if c))
+            if not vec:
+                continue
+            if i in central or j in central:
+                raise ValueError(f"central generator occurs in a nonzero bracket ({i}, {j})")
+            if any(k not in central for k, _ in vec):
+                raise ValueError(f"[b_{i}, b_{j}] leaves the center")
+            entries.append(((i, j), vec))
+        object.__setattr__(self, "bracket", tuple(sorted(entries)))
 
 
 def free_two_step(n: int) -> TwoStepLieAlgebra:
@@ -137,16 +141,10 @@ def free_two_step(n: int) -> TwoStepLieAlgebra:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    pairs = list(combinations(range(n), 2))
-    total = n + len(pairs)
-    zero = tuple(0 for _ in range(total))
-    table = [[zero for _ in range(total)] for _ in range(total)]
-    for k, (i, j) in enumerate(pairs):
-        vec = [0] * total
-        vec[n + k] = 1
-        table[i][j] = tuple(vec)
-        table[j][i] = tuple(-c for c in vec)
-    return TwoStepLieAlgebra(total, tuple(tuple(row) for row in table), frozenset(range(n, total)))
+    pairs = combinations(range(n), 2)
+    bracket = tuple(((i, j), ((n + k, 1),)) for k, (i, j) in enumerate(pairs))
+    total = n + len(bracket)
+    return TwoStepLieAlgebra(total, bracket, frozenset(range(n, total)))
 
 
 @dataclass(frozen=True)
@@ -203,16 +201,15 @@ class PGroup:
             )
         self.q = int(self.p) ** 2
         n = algebra.gen_count
-        table = _mod(np.array(algebra.bracket, dtype=np.int64).reshape(n, n, n), self.p)
-        upper = np.triu_indices(n, 1)
-        brackets = table[upper]  # [b_i, b_j] for the pairs i < j, in triu order
-        _check_bracket_bound(int(np.count_nonzero(brackets, axis=0).max(initial=0)), int(self.p))
         # Per coordinate k that some bracket reaches, the pairs i < j with
-        # [b_i, b_j]_k = c nonzero mod p, as (i, j, c).
-        self._brackets = [
-            (k, [(i, j, int(c)) for i, j, c in zip(*upper, brackets[:, k]) if c])
-            for k in np.flatnonzero(brackets.any(axis=0)).tolist()
-        ]
+        # [b_i, b_j]_k = c nonzero mod p, as (i, j, c mod p) in (i, j) order.
+        by_coord: dict[int, list[tuple[int, int, int]]] = {}
+        for (i, j), vec in algebra.bracket:
+            for k, c in vec:
+                if c % self.p:
+                    by_coord.setdefault(k, []).append((i, j, c % self.p))
+        self._brackets = sorted(by_coord.items())
+        _check_bracket_bound(max(map(len, by_coord.values()), default=0), int(self.p))
         # Coordinates the bracket reads: i < j, so the largest j.
         self._span = 1 + max((j for _, terms in self._brackets for _, j, _ in terms), default=-1)
         self._chunk = _CHUNK_BYTES // (8 * max(n, 1))  # columns per sampled chunk
@@ -266,9 +263,9 @@ class PGroup:
 
         a and b are (n', ...) arrays of broadcastable shapes and are never
         written.  On the residues mod p of the ``_span`` coordinates read, the
-        bracket in coordinate k sums c (x_i y_j - x_j y_i) over the pairs i < j
-        with [b_i, b_j]_k = c (one pair per coordinate in the free and U(n)
-        algebras); the result is a + b + p (bracket mod p), reduced mod p^2
+        bracket in coordinate k sums c (x_i y_j - x_j y_i) over the stored
+        pairs i < j with [b_i, b_j]_k = c (one pair per coordinate in the free
+        and U(n) algebras); the result is a + b + p (bracket mod p), reduced mod p^2
         once.
         """
         out = a + b
@@ -328,9 +325,7 @@ class PGroup:
     def _enumerate(self, budget: int) -> np.ndarray:
         """All elements as the columns of an (n', order) array, lexicographic."""
         if self.order > budget:
-            raise BudgetExceeded(
-                f"order {self.order} exceeds the enumeration budget {budget}; use sampled mode"
-            )
+            raise BudgetExceeded(f"order {self.order} exceeds the enumeration budget {budget}")
         n = self.algebra.gen_count
         s_part = _mod(self._s_basis.T @ _all_vectors(self.p, self.s_dim), self.p)
         cols = (s_part[:, :, None] + self.p * _all_vectors(self.p, n)[:, None, :]).reshape(n, -1)
@@ -421,9 +416,7 @@ class PGroup:
         if triples < 1:
             raise ValueError(f"triples = {triples}: at least one triple is needed")
         if mode == "exhaustive" and self.order > budget:
-            raise BudgetExceeded(
-                f"order {self.order} exceeds the exhaustive budget {budget}; use sampled mode"
-            )
+            raise BudgetExceeded(f"order {self.order} exceeds the exhaustive budget {budget}")
         exhaustive = mode == "exhaustive" or (mode == "auto" and self.order <= budget)
         assoc_exhaustive = exhaustive and self.order ** 3 <= ASSOC_EXHAUSTIVE_BUDGET
         rng = np.random.default_rng(seed)

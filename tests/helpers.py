@@ -211,7 +211,15 @@ def reference_class_from_cocycle(c, reps_by_degree, mats, elem):
 
 
 def _bracket_table(group):
-    return np.mod(np.array(group.algebra.bracket, dtype=np.int64), group.p)
+    """The dense n'^3 table of [b_i, b_j]_k mod p, both orientations filled in
+    from the algebra's sparse map of the pairs i < j."""
+    n = group.algebra.gen_count
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for (i, j), vec in group.algebra.bracket:
+        for k, c in vec:
+            table[i, j, k] = c
+            table[j, i, k] = -c
+    return np.mod(table, group.p)
 
 
 def reference_mult_rows(group, a, b):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from frattini import bocksteindga, cli, koszul, younghook
+from frattini import bocksteindga, cli, koszul, pgroups, younghook
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -285,6 +285,50 @@ def test_group_budget_exceeded():
     assert "retry with --mode sampled" in err
 
 
+def test_group_budget_error_gives_one_hint():
+    code, out, err = invoke(["group", "-n", "1", "-p", "3", "--mode", "exhaustive", "--budget", "0"])
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: order 9 exceeds the exhaustive budget 0 (retry with --mode sampled)\n"
+
+
+@pytest.mark.parametrize("which", ["u", "g"])
+def test_group_n_above_cap_exits_3_before_building(which, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("the group was built before n was checked")
+
+    monkeypatch.setattr(pgroups, "unp_group", built)
+    monkeypatch.setattr(pgroups, "free_two_step", built)
+    code, out, err = invoke(["group", "-n", str(cli.GROUP_N_CAP + 1), "-p", "7", "--group", which])
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"error: n = {cli.GROUP_N_CAP + 1}: ") and err.endswith(f"capped at n <= {cli.GROUP_N_CAP}\n")
+
+
+def test_group_n_at_cap_is_not_refused(monkeypatch):
+    def reached(n, p):
+        raise ValueError(f"built U({n}, {p})")
+
+    monkeypatch.setattr(pgroups, "unp_group", reached)
+    code, out, err = invoke(["group", "-n", str(cli.GROUP_N_CAP), "-p", "7"])
+    assert (code, err) == (EXIT_BAD_INPUT, f"error: built U({cli.GROUP_N_CAP}, 7)\n")
+
+
+def test_group_n_32_exits_at_once():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "frattini.cli", "group", "-n", "32", "-p", "7", "--mode", "sampled"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: n = 32: ") and "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 10
+
+
 def test_bockstein_text():
     code, out, err = invoke(["bockstein", "-n", "2", "-p", "5", "--max-degree", "4", "--pairs", "20"])
     assert code == EXIT_OK
@@ -317,6 +361,37 @@ def test_series_text():
     assert "expansion through degree 5: 1 2 5 7 12 15" in out
     assert "palindrome yes" in out
     assert "recompose yes" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--numerator", "1", "-w", "100000", "-r", "0"],  # default truncation 2(w + r)
+        ["series", "--numerator", "1,1", "-w", "1", "-r", "0", "--truncate", "100000000"],
+        ["series", "--numerator", "1", "-w", "0", "-r", "0", "--truncate", "1000000"],
+        ["series", "--numerator", "1", "-w", "999", "-r", "0", "--truncate", "1000"],
+        ["koszul", "-w", "2", "-p", "5", "--truncate", "10000000"],
+        HEISENBERG + ["--truncate", "333333"],
+        ["unp", "-n", "3", "--truncate", "1000000"],
+    ],
+)
+def test_series_expansion_over_the_cap_exits_4_before_betti(argv, monkeypatch):
+    def betti_reached(*args, **kwargs):
+        raise AssertionError("betti ran before the expansion was bounded")
+
+    monkeypatch.setattr(koszul, "betti", betti_reached)
+    code, out, err = invoke(argv)
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: expanding through degree ")
+    assert err.endswith(f"capped at {cli.EXPANSION_CAP} (lower --truncate)\n")
+
+
+def test_series_expansion_at_the_cap_runs():
+    code, report = invoke_json(["series", "--numerator", "1", "-w", "999", "-r", "0", "--truncate", "999"])
+    assert (999 + 1) * (999 + 1) == cli.EXPANSION_CAP
+    assert code == EXIT_OK
+    assert len(report["expansion"]) == 1000 and report["recompose_ok"] is True
 
 
 def test_series_json():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -30,41 +31,41 @@ from helpers import (
 def test_free_two_step_shape():
     alg = free_two_step(2)
     assert alg.gen_count == 3
-    table = np.array(alg.bracket)
-    assert table.shape == (3, 3, 3)
-    assert table[0, 1].tolist() == [0, 0, 1]
-    assert table[1, 0].tolist() == [0, 0, -1]
+    assert alg.bracket == (((0, 1), ((2, 1),)),)  # [b_1, b_2] = b_3
     assert alg.central == frozenset({2})
-    assert free_two_step(3).gen_count == 6
+    alg = free_two_step(3)
+    assert alg.gen_count == 6
+    assert alg.bracket == (((0, 1), ((3, 1),)), ((0, 2), ((4, 1),)), ((1, 2), ((5, 1),)))
 
 
-def _bracket_table(entries):
-    return tuple(tuple(tuple(vec) for vec in row) for row in entries)
+# Each breaks exactly one rule, so dropping any one check fails this list.
+_INVALID_ALGEBRAS = [
+    (3, {(1, 0): {2: 1}}, {2}),  # key with i > j: only i < j is stored
+    (3, {(0, 0): {2: 1}}, {2}),  # diagonal key
+    (3, {(0, 3): {2: 1}}, {2}),  # key out of range
+    (3, {(-1, 0): {2: 1}}, {2}),  # negative key
+    (3, {(0, 1): {0: 1}}, {2}),  # bracket value escapes the center
+    (2, {(0, 1): {1: 1}}, {1}),  # central generator used as an argument
+    (3, {}, {3}),  # central index out of range
+]
 
 
 def test_lie_algebra_validation():
-    zero2 = (0, 0)
-    # not antisymmetric
-    with pytest.raises(ValueError):
-        TwoStepLieAlgebra(2, _bracket_table([[zero2, (0, 1)], [zero2, zero2]]), frozenset({1}))
-    # nonzero diagonal
-    with pytest.raises(ValueError):
-        TwoStepLieAlgebra(2, _bracket_table([[(0, 1), zero2], [zero2, zero2]]), frozenset({1}))
-    # bracket value escapes the center
-    zero3 = (0, 0, 0)
-    with pytest.raises(ValueError):
-        TwoStepLieAlgebra(
-            3,
-            _bracket_table(
-                [[zero3, (1, 0, 0), zero3], [(-1, 0, 0), zero3, zero3], [zero3, zero3, zero3]]
-            ),
-            frozenset({2}),
-        )
-    # central generator used as an argument
-    with pytest.raises(ValueError):
-        TwoStepLieAlgebra(2, _bracket_table([[zero2, (0, 1)], [(0, -1), zero2]]), frozenset({1}))
-    abelian = TwoStepLieAlgebra(2, _bracket_table([[zero2, zero2], [zero2, zero2]]), frozenset({1}))
-    assert abelian.gen_count == 2
+    for gens, bracket, central in _INVALID_ALGEBRAS:
+        with pytest.raises(ValueError):
+            TwoStepLieAlgebra(gens, bracket, frozenset(central))
+
+
+def test_lie_algebra_stores_nonzero_brackets_sorted():
+    abelian = TwoStepLieAlgebra(2, {}, frozenset({1}))
+    assert abelian.gen_count == 2 and abelian.bracket == ()
+    # zero brackets vanish, so even a central argument is allowed there
+    assert TwoStepLieAlgebra(3, {(0, 2): {2: 0}, (1, 2): {}}, frozenset({2})).bracket == ()
+    a = TwoStepLieAlgebra(5, {(1, 2): {4: -1}, (0, 1): {4: 2, 3: 1}}, frozenset({3, 4}))
+    b = TwoStepLieAlgebra(5, [((0, 1), [(4, 2), (3, 1)]), ((1, 2), {4: -1})], frozenset({4, 3}))
+    assert a.bracket == (((0, 1), ((3, 1), (4, 2))), ((1, 2), ((4, -1),)))
+    assert a == b and hash(a) == hash(b)
+    assert TwoStepLieAlgebra(a.gen_count, a.bracket, a.central) == a
 
 
 def test_unp_group_multiplication_golden():
@@ -205,8 +206,8 @@ def test_bracket_bound_edge(p):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7])
 def test_built_in_algebras_within_bracket_bound(n):
-    table = np.array(free_two_step(n).bracket)
-    assert np.count_nonzero(table, axis=(0, 1)).max() <= 2
+    pairs_per_coordinate = Counter(k for _, vec in free_two_step(n).bracket for k, _ in vec)
+    assert max(pairs_per_coordinate.values(), default=0) <= 1
     PGroup(free_two_step(n), 46337)
     unp_group(n, 46337)
 
@@ -218,16 +219,29 @@ def test_bracket_bound_enforced_at_construction(monkeypatch):
     assert checked == [(1, 5)]
 
 
+def test_brackets_vanishing_mod_p_are_dropped():
+    alg = TwoStepLieAlgebra(5, {(0, 1): {3: 7, 4: -3}, (0, 2): {4: 14}}, frozenset({3, 4}))
+    assert PGroup(alg, 7)._brackets == [(4, [(0, 1, 4)])]
+    assert PGroup(alg, 3)._brackets == [(3, [(0, 1, 1)]), (4, [(0, 2, 2)])]
+
+
+def test_unp_group_at_n_64_constructs():
+    g = unp_group(64, 7)  # n' = 2080: a dense bracket table would hold 2080^3 entries
+    assert g.algebra.gen_count == 2080 and len(g._brackets) == 2016
+    assert all(len(terms) == 1 for _, terms in g._brackets)
+    assert g.s_dim == 64 and g._span == 64
+
+
 def _dense_group(gens, central, p, constrained):
     """Dense random brackets of the non-central generators into the central ones,
     with a random constraint on as many rows as there are non-central generators."""
     rng = np.random.default_rng([gens, central, p])
     free = gens - central
-    table = np.zeros((gens, gens, gens), dtype=np.int64)
-    for i, j in combinations(range(free), 2):
-        table[i, j, free:] = rng.integers(-2 * p, 2 * p, size=central)
-        table[j, i] = -table[i, j]
-    alg = TwoStepLieAlgebra(gens, table.tolist(), frozenset(range(free, gens)))
+    bracket = {
+        (i, j): dict(zip(range(free, gens), rng.integers(-2 * p, 2 * p, size=central).tolist()))
+        for i, j in combinations(range(free), 2)
+    }
+    alg = TwoStepLieAlgebra(gens, bracket, frozenset(range(free, gens)))
     return PGroup(alg, p, constraint=rng.integers(0, p, size=(free, gens)) if constrained else None)
 
 
