@@ -52,10 +52,12 @@ EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-# ``group -n`` above this is refused: the commutator ranks take C(m, 2)
-# products of n' = C(n + 1, 2) coordinates from m ~ n' module generators, so
-# memory grows as n^6.  U(n, 7) in sampled mode took 2.3 s and 299 MiB at
-# n = 20, and 6.2 s and 777 MiB at n = 24 (2-core x86-64, numpy 2.4).
+# ``group -n`` above this is refused.  The commutator ranks take the C(k, 2)
+# commutators of the k lifts of S, n' = C(n + 1, 2) coordinates each: k = n for
+# U(n) but k = n' for the free group (--group g), whose memory grows as n^6 and
+# sets the cap.  At n = 20, p = 7 in sampled mode (2-core x86-64, numpy 2.4),
+# --group g took 15 s and 255 MiB at the default 10^5 triples (2.6 s with
+# --triples 1000); U(20, 7) took 15 s and 40 MiB (2 s with --triples 1000).
 GROUP_N_CAP = 20
 # Expanding a series through degree T with denominator exponent v = w + r
 # runs about (T + 1)(v + 1) big-integer steps and holds T + 1 coefficients;
@@ -90,6 +92,11 @@ def _least_odd_prime_above(bound: int) -> Prime:
             candidate += 2
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer; true and false are not, though Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _quadratic_from_triples(triples, w: int, p: Prime) -> ExtElement:
     try:
         amb = Ambient(w, 0, p)
@@ -100,7 +107,7 @@ def _quadratic_from_triples(triples, w: int, p: Prime) -> ExtElement:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise CliError(EXIT_BAD_INPUT, f"quadratic entry {entry!r} is not an [i, j, coeff] triple")
         i, j, c = entry
-        if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
+        if not all(map(_is_int, entry)):
             raise CliError(EXIT_BAD_INPUT, f"quadratic entry {entry!r} must hold integers")
         if not 1 <= i < j <= w:
             raise CliError(EXIT_BAD_INPUT, f"pair ({i}, {j}) needs 1 <= i < j <= w = {w}")
@@ -128,8 +135,10 @@ def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
         if missing:
             raise CliError(EXIT_BAD_INPUT, f"input file lacks required field(s): {', '.join(sorted(missing))}")
         w = data["w"]
-        if not isinstance(w, int) or w < 0:
+        if not _is_int(w) or w < 0:
             raise CliError(EXIT_BAD_INPUT, "field 'w' must be a nonnegative integer")
+        if not _is_int(data["p"]):
+            raise CliError(EXIT_BAD_INPUT, "field 'p' must be an integer")
         p = _prime(data["p"])
         has_q = "quadratics" in data
         has_k = "k_basis" in data
@@ -147,7 +156,7 @@ def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
             if not (isinstance(obj, dict) and "b" in obj and "q" in obj):
                 raise CliError(EXIT_BAD_INPUT, "each k_basis entry must be an object with 'b' and 'q'")
             bvec = obj["b"]
-            if not (isinstance(bvec, list) and len(bvec) == w and all(isinstance(c, int) for c in bvec)):
+            if not (isinstance(bvec, list) and len(bvec) == w and all(map(_is_int, bvec))):
                 raise CliError(EXIT_BAD_INPUT, f"'b' must be a list of {w} integers")
             quad = _quadratic_from_triples(obj["q"], w, p)
             entries.append((tuple(bvec), quad))
@@ -201,19 +210,20 @@ def _series_report(q: series.PoincarePolynomial, w: int, r: int, truncate: int) 
     """Expansion of q(t) / (1 - t^2)^(w+r) through degree ``truncate`` and the numerator checks."""
     s = series.PoincareSeries(q, w + r)
     chk = series.checks(q, w, r)
+    expansion = series.expand(s, truncate)
     return {
         "numerator": list(q.coefficients),
         "numerator_text": str(q),
         "series_text": str(s),
         "truncation_degree": truncate,
-        "expansion": series.expand(s, truncate),
+        "expansion": expansion,
         "checks": {
             "palindrome": chk.palindrome,
             "euler_zero": chk.euler_zero,
             "degree_match": chk.degree_match,
             "ok": chk.ok(w),
         },
-        "recompose_ok": series.verify_expansion(s, truncate),
+        "recompose_ok": series.recomposes_to_numerator(s, expansion),
     }
 
 
@@ -344,8 +354,8 @@ def run_group(args: argparse.Namespace) -> tuple[dict, int]:
     if n > GROUP_N_CAP:
         raise CliError(
             EXIT_BAD_INPUT,
-            f"n = {n}: the commutator check multiplies C(m, 2) pairs of {comb(n + 1, 2)}"
-            f" coordinates; capped at n <= {GROUP_N_CAP}",
+            f"n = {n}: the free group's commutator ranks multiply C(n', 2) pairs of"
+            f" n' = {comb(n + 1, 2)} coordinates; both groups are capped at n <= {GROUP_N_CAP}",
         )
     p = _prime(args.p)
     which = args.group

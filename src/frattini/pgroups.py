@@ -23,11 +23,12 @@ brackets [b_i, b_j] with i < j, so the kernel sums each pair once, as
 c (x_i y_j - x_j y_i) for each [b_i, b_j]_k = c nonzero mod p, then writes
 a + b + p (bracket mod p) and reduces mod p^2 once.  Residues are
 x - m (x // m) (``_mod``): numpy divides by a scalar far faster than it
-takes ``%``.  The modulus is capped and the pairs
-per coordinate are counted, so every intermediate stays exact.  Small groups
-have associativity checked on every triple of their Cayley table; sampled
-checks draw and check their triples a fixed-size chunk at a time, so memory
-does not grow with the triple count.
+takes ``%``.  The modulus is capped and the pairs per coordinate are
+counted, so every intermediate stays exact.  Small groups have associativity
+checked on every triple of their Cayley table; sampled checks draw and check
+their triples, and no other elements, a fixed-size chunk at a time, so memory
+does not grow with the triple count.  In every mode p K is certified central
+on the pairs (p e_k, module generator), which is exact given the axioms.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class TwoStepLieAlgebra:
 
     def __post_init__(self):
         n = self.gen_count
+        if n < 1:
+            raise ValueError(f"gen_count = {n}: an algebra needs at least one generator")
         central = frozenset(self.central)
         object.__setattr__(self, "central", central)
         if not all(0 <= k < n for k in central):
@@ -212,7 +215,7 @@ class PGroup:
         _check_bracket_bound(max(map(len, by_coord.values()), default=0), int(self.p))
         # Coordinates the bracket reads: i < j, so the largest j.
         self._span = 1 + max((j for _, terms in self._brackets for _, j, _ in terms), default=-1)
-        self._chunk = _CHUNK_BYTES // (8 * max(n, 1))  # columns per sampled chunk
+        self._chunk = _CHUNK_BYTES // (8 * n)  # columns per sampled or certificate chunk
         if constraint is None:
             self._s_basis, self._s_pivots = np.eye(n, dtype=np.int64), list(range(n))
         else:
@@ -356,11 +359,12 @@ class PGroup:
     # -- verification --------------------------------------------------------
 
     def _subgroup_ranks(self) -> tuple[int, int, int]:
-        """(log_p |Frattini|, commutator rank, exponent) from module generators,
-        batched: the commutators of all generator pairs (``combinations`` order)
-        and the p-th powers are stacked columns, and ``_mult_members`` raises
-        ConstraintViolation on an operand off S, as ``multiply`` does."""
-        gens = self._module_generators()
+        """(log_p |Frattini|, commutator rank, exponent) from the lifts of S,
+        batched: the commutators of all their pairs (``combinations`` order)
+        and their p-th powers are stacked columns; ``_mult_members`` raises
+        ConstraintViolation on an operand off S.  The other module generators,
+        p e_k, are central (``verify`` certifies it) with p-th power 0."""
+        gens = self._s_basis.T
         a, b = (gens[:, idx] for idx in np.triu_indices(gens.shape[1], 1))
         mul = self._mult_members
         comms = mul(mul(mul(a, b), _mod(-a, self.q)), _mod(-b, self.q))
@@ -397,19 +401,18 @@ class PGroup:
         computed once and looked up as base-p^2 codes (first coordinate most
         significant, below q^n' <= order^2 <= 464^2) among the sorted codes of
         the elements.  A product missing there fails closure, hence
-        associativity.  In exhaustive mode identity, inverses and centrality
-        are checked with ``_mult`` on the enumerated elements, and Omega_1 is
-        counted among them.
+        associativity.  In exhaustive mode identity and inverses are checked
+        with ``_mult`` on the enumerated elements, and Omega_1 is counted
+        among them.
 
         Sampled triples are drawn and checked ``_chunk`` columns at a time
         (``_CHUNK_BYTES`` per operand), so memory stays flat as ``triples``
-        grows.  Each chunk draws x, y and z for associativity; in sampled mode
-        it then checks identity and inverses on x and draws omega = p w to
-        check against y for centrality.  A seed picks its triples chunk by
-        chunk in that order (each draw coordinate-major), so the triples of a
-        seed differ from those of the earlier all-at-once draws; the counts
-        reported never depend on the seed.  Sampled mode counts nothing and
-        reports rank n', as Omega_1 = p K.
+        grows: each chunk draws x, y and z (coordinate-major, in that order)
+        and, in sampled mode, checks identity and inverses on x.  Sampled mode
+        counts nothing and reports rank n', as Omega_1 = p K.  In every mode
+        each p e_k must then commute with each module generator, ``_chunk``
+        pairs at a time up to the first failing chunk (``pc_pairs`` counts the
+        pairs passed); given the axioms above, that makes Omega_1 = p K central.
         """
         if mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -426,7 +429,7 @@ class PGroup:
         E = self._enumerate(budget) if exhaustive else None
         mul = self._mult
 
-        ident_ok = pc_ok = True
+        ident_ok = True
         if assoc_exhaustive:
             weights = self.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
             codes = weights @ E  # increasing, since E is lexicographic
@@ -446,31 +449,27 @@ class PGroup:
                 assoc_ok = assoc_ok and np.array_equal(mul(mul(xs, ys), zs), mul(xs, mul(ys, zs)))
                 if not exhaustive:
                     ident_ok = ident_ok and self._identity_inverse_ok(xs)
-                    omegas = _mod(self.p * self._sample(rng, count), self.q)
-                    pc_ok = pc_ok and np.array_equal(mul(omegas, ys), mul(ys, omegas))
             n_triples = triples
+
+        gens = self._module_generators()
+        pairs, pc_pairs = n * gens.shape[1], 0
+        for start in range(0, pairs, self._chunk):
+            k, j = np.divmod(np.arange(start, min(start + self._chunk, pairs)), gens.shape[1])
+            w, g = self.p * (np.arange(n)[:, None] == k), gens[:, j]  # w = p e_k
+            if not np.array_equal(mul(w, g), mul(g, w)):
+                break
+            pc_pairs += len(k)
 
         if exhaustive:
             ident_ok = self._identity_inverse_ok(E)
             omega = np.nonzero(~_mod(E, self.p).any(axis=0))[0]  # p x = 0 iff x is in p K
-            omega1_rank = 0
-            c = len(omega)
-            while c > 1:
-                if c % self.p:
-                    raise AssertionError("count of order-p elements must be a p-power")
-                c //= int(self.p)
-                omega1_rank += 1
-            pc_pairs = 0
-            for w in omega:
-                if not np.array_equal(mul(E[:, w:w + 1], E), mul(E, E[:, w:w + 1])):
-                    pc_ok = False
-                    break
-                pc_pairs += self.order
+            omega1_rank = round(np.log(len(omega)) / np.log(self.p))
+            if self.p ** omega1_rank != len(omega):
+                raise AssertionError("count of order-p elements must be a p-power")
             exponent_seen = self.q if len(omega) < self.order else (int(self.p) if self.order > 1 else 1)
             assert exponent_seen == exponent
             report_mode = "exhaustive"
         else:
-            pc_pairs = triples
             omega1_rank = n  # Omega_1 = p K
             report_mode = "sampled"
 
@@ -481,7 +480,7 @@ class PGroup:
             associativity_exhaustive=assoc_exhaustive,
             associativity_triples=int(n_triples),
             identity_inverse_ok=bool(ident_ok),
-            pc_ok=bool(pc_ok),
+            pc_ok=pc_pairs == pairs,
             pc_pairs=int(pc_pairs),
             omega1_rank=int(omega1_rank),
             abelianization_rank=log_order - frat_log,

@@ -17,6 +17,7 @@ __all__ = [
     "from_betti",
     "expand",
     "recompose",
+    "recomposes_to_numerator",
     "verify_expansion",
     "checks",
 ]
@@ -109,12 +110,17 @@ def recompose(coefficients: Sequence[int], v: int) -> list[int]:
     return co
 
 
-def verify_expansion(s: PoincareSeries, n: int) -> bool:
-    """Check that expand(s, n) * (1 - t^2)^v recovers q(t) through degree n."""
-    got = recompose(expand(s, n), s.denominator_exponent)
+def recomposes_to_numerator(s: PoincareSeries, coefficients: Sequence[int]) -> bool:
+    """Check that coefficients * (1 - t^2)^v recovers q(t) through their last degree."""
+    n = len(coefficients) - 1
     q = list(s.numerator.coefficients[: n + 1])
     q += [0] * (n + 1 - len(q))
-    return got == q
+    return recompose(coefficients, s.denominator_exponent) == q
+
+
+def verify_expansion(s: PoincareSeries, n: int) -> bool:
+    """Check that expand(s, n) * (1 - t^2)^v recovers q(t) through degree n."""
+    return recomposes_to_numerator(s, expand(s, n))
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,9 @@ def reference_exhaustive_report(group):
 
     For each z the products (x y) z and x (y z) are formed for all pairs
     (x, y) and compared; order-p elements are checked one at a time against
-    every element.
+    every element.  ``pc_pairs`` is the count ``verify`` reports when its
+    certificate passes: n' order-p generators p e_k times the module
+    generators, dim S + n' of them (n' without a constraint).
     """
     p, q, n = int(group.p), group.q, group.algebra.gen_count
     E = group._enumerate(group.order).T
@@ -341,13 +343,13 @@ def reference_exhaustive_report(group):
             assoc_ok = False
             break
     omegas = E[~((p * E) % q).any(axis=1)]
-    pc_ok, pc_pairs = True, 0
+    pc_ok = True
     for w in omegas:
         wrow = w.reshape(1, -1)
         if not np.array_equal(reference_mult_rows(group, wrow, E), reference_mult_rows(group, E, wrow)):
             pc_ok = False
             break
-        pc_pairs += len(E)
+    pc_pairs = n * (group.s_dim + n if group.constrained else n)
     frat_log, comm_rank, exponent = reference_subgroup_ranks(group)
     return VerificationReport(
         group_order=group.order,

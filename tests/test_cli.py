@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from frattini import bocksteindga, cli, koszul, pgroups, younghook
+from frattini import bocksteindga, cli, koszul, pgroups, series, younghook
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -181,6 +181,26 @@ def test_unreadable_and_malformed_files(tmp_path):
     code, _, err = invoke(["koszul", str(both)])
     assert code == EXIT_BAD_INPUT
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": 7.9, "w": 2, "quadratics": [[[1, 2, 1]]]}, "field 'p' must be an integer"),
+        ({"p": "7", "w": 2, "quadratics": [[[1, 2, 1]]]}, "field 'p' must be an integer"),
+        ({"p": 7, "w": True, "quadratics": [[[1, 1, 1]]]}, "field 'w' must be a nonnegative integer"),
+        ({"p": 7, "w": 2, "k_basis": [{"b": [1, False], "q": []}]}, "'b' must be a list of 2 integers"),
+        ({"p": 7, "w": 2, "quadratics": [[[1, 2, True]]]}, "must hold integers"),
+    ],
+    ids=["p-float", "p-string", "w-bool", "b-entry-bool", "triple-entry-bool"],
+)
+def test_koszul_file_integer_fields_reject_floats_strings_and_booleans(tmp_path, payload, message):
+    """Each of these ran before as if it held the integer it resembles."""
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(["koszul", str(path)])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and message in err
 
 
 def test_dependent_quadratics_need_force():
@@ -401,6 +421,20 @@ def test_series_json():
     assert report["checks"]["palindrome"] is True
     assert report["checks"]["ok"] is False
     assert report["recompose_ok"] is True
+
+
+def test_series_report_expands_once(monkeypatch):
+    calls = []
+    expand = series.expand
+
+    def counting(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(series, "expand", counting)
+    code, report = invoke_json(["series", "--numerator", "1,2,2,1", "-w", "2", "-r", "1", "--truncate", "5"])
+    assert code == EXIT_OK and report["recompose_ok"] is True
+    assert len(calls) == 1
 
 
 def test_crosscheck_text_and_json():

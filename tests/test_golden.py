@@ -3,7 +3,7 @@ plus the text of every cup product of degree-1 classes of one small complex.
 
 The files under ``tests/golden/`` are never regenerated; a mismatch means an
 output changed.  ``python tests/test_golden.py`` writes only files that are
-missing.  They were written in two groups, each from the code before the change
+missing.  They were written in groups, each from the code before the change
 that the group guards:
 
 * every file except the three below: at commit 02697f4, before the shared
@@ -38,6 +38,11 @@ that the group guards:
   stacked rows.  The first is the bench job; the third is ``auto`` mode with
   exhaustive centrality and sampled triples (order^3 > 1e8); the last has p at
   ``_PGROUP_PRIME_CAP``, where residues come closest to the int64 bound.
+* the five ``group_*`` files above (these four and ``group_json.out``) were
+  re-frozen in the change after commit 5cb6768, when ``verify`` came to
+  certify the order-p elements central on generator pairs in every mode: each
+  differs from its earlier bytes in its ``order_p_central_pairs`` line alone,
+  which now counts those pairs (n' times the module generators).
 
 Inputs: ``k_basis_w3_p5.json`` is a hand-written k-invariant basis (w = 3,
 p = 5); ``generic_w4_r3_p7.json`` holds three quadratics in four variables over

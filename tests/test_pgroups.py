@@ -47,6 +47,8 @@ _INVALID_ALGEBRAS = [
     (3, {(0, 1): {0: 1}}, {2}),  # bracket value escapes the center
     (2, {(0, 1): {1: 1}}, {1}),  # central generator used as an argument
     (3, {}, {3}),  # central index out of range
+    (0, {}, set()),  # no generators
+    (-1, {}, set()),  # negative generator count
 ]
 
 
@@ -254,7 +256,16 @@ _KERNEL_CASES = (
 )
 
 
+# S on the free group with n = 3 (n' = 6): the zero subspace, and one off the coordinate axes.
+_FREE3_CONSTRAINTS = {
+    "zero-S": np.zeros((0, 6), dtype=np.int64),
+    "mixed-S": [[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+}
+
+
 def _kernel_group(kind, size, p):
+    if kind == "free-S":
+        return PGroup(free_two_step(3), p, constraint=_FREE3_CONSTRAINTS[size])
     if kind == "free":
         return PGroup(free_two_step(size), p)
     if kind == "U":
@@ -314,7 +325,9 @@ def test_mod_matches_np_mod(p):
         assert np.array_equal(pgroups._mod(x.reshape(-1, 1, 1), m), np.mod(x, m).reshape(-1, 1, 1))
 
 
-@pytest.mark.parametrize("kind, size, p", _KERNEL_CASES)
+@pytest.mark.parametrize(
+    "kind, size, p", _KERNEL_CASES + [("free-S", name, p) for p in _PRIMES for name in _FREE3_CONSTRAINTS]
+)
 def test_subgroup_ranks_match_reference(kind, size, p):
     g = _kernel_group(kind, size, p)
     assert g._subgroup_ranks() == reference_subgroup_ranks(g)
@@ -448,8 +461,8 @@ def test_product_leaving_the_subgroup_fails_sampled(monkeypatch):
 
 @pytest.mark.parametrize("p", _PRIMES)
 def test_subgroup_ranks_take_a_few_batched_products(monkeypatch, p):
-    """Three products for the commutators; for the p-th powers one squaring per
-    bit of p and one product per set bit."""
+    """Three products for the commutators of the lifts of S; for their p-th
+    powers one squaring per bit of p and one product per set bit."""
     calls = []
 
     def counting(self, a, b):
@@ -457,10 +470,10 @@ def test_subgroup_ranks_take_a_few_batched_products(monkeypatch, p):
         return _KERNEL(self, a, b)
 
     monkeypatch.setattr(PGroup, "_mult", counting)
-    g = unp_group(3, p)  # 3 + 6 module generators, 36 pairs
+    g = unp_group(3, p)  # dim S = 3, so 3 pairs
     g._subgroup_ranks()
     assert len(calls) == 3 + int(p).bit_length() + bin(p).count("1")
-    assert calls[:3] == [(6, 36)] * 3 and set(calls[3:]) == {(6, 9)}
+    assert calls[:3] == [(6, 3)] * 3 and set(calls[3:]) == {(6, 3)}
 
 
 def test_subgroup_ranks_reject_products_off_the_constraint(monkeypatch):
@@ -471,18 +484,63 @@ def test_subgroup_ranks_reject_products_off_the_constraint(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, p, mode, pairs",
+    "n, p, mode",
     [
-        (2, 3, "exhaustive", 3 ** 2 * 243),  # (3, 0, 0) is the 10th order-p element
-        (2, 5, "exhaustive", 5 ** 2 * 3125),  # order^3 > 1e8; (5, 0, 0) is the 26th
-        (2, 3, "sampled", pgroups.DEFAULT_TRIPLES),
+        (2, 3, "exhaustive"),
+        (2, 5, "exhaustive"),  # order^3 > 1e8: sampled triples
+        (2, 3, "sampled"),
     ],
 )
-def test_non_central_order_p_product_fails(monkeypatch, n, p, mode, pairs):
+def test_non_central_order_p_product_fails(monkeypatch, n, p, mode):
+    """(p e_0, e_0) is the first generator pair, so no pair passes."""
     monkeypatch.setattr(PGroup, "_mult", _non_central)
     rep = unp_group(n, p).verify(mode=mode)
     assert not rep.pc_ok
-    assert rep.pc_pairs == pairs
+    assert rep.pc_pairs == 0
+
+
+def _non_central_last(self, a, b):
+    """Adds p (x // p)_2 (y mod p)_0 to coordinate 2: for U(2, p) only p e_2,
+    the last order-p generator, stops commuting with the lift of e_0."""
+    out = _KERNEL(self, a, b)
+    out[2] = (out[2] + self.p * ((a[2] // self.p) * (b[0] % self.p))) % self.q
+    return out
+
+
+@pytest.mark.parametrize("which", ["u", "g"])
+def test_centrality_certificate_in_chunks(monkeypatch, which):
+    """The n' x m generator pairs go k-major in chunks of ``_chunk`` pairs, two
+    products each, and stop at the first failing chunk."""
+    g = unp_group(2, 3) if which == "u" else PGroup(free_two_step(2), 3)
+    m = 5 if which == "u" else 3  # module generators: dim S + n' or n'
+    g._chunk = 4
+    ranks = g._subgroup_ranks()
+    monkeypatch.setattr(g, "_subgroup_ranks", lambda: ranks)
+    widths = []
+
+    def counting(self, a, b):
+        widths.append(np.broadcast_shapes(a.shape, b.shape)[1:])
+        return _KERNEL(self, a, b)
+
+    monkeypatch.setattr(PGroup, "_mult", counting)
+    rep = g.verify(mode="sampled", triples=1)
+    assert rep.pc_ok and rep.pc_pairs == 3 * m
+    blocks = [4] * (3 * m // 4) + [3 * m % 4]
+    assert widths[7:] == [(b,) for b in blocks for _ in range(2)]
+
+    monkeypatch.setattr(PGroup, "_mult", _non_central_last)
+    rep = g.verify(mode="sampled", triples=1)
+    # the pairs (p e_2, e_0) start at 2 m; the chunks before the one holding it pass
+    assert not rep.pc_ok and rep.pc_pairs == 2 * m // 4 * 4
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("free-S", "zero-S"), ("free-S", "mixed-S"), ("dense-S", (6, 3))], ids=["zero-S", "mixed-S", "dense-S"]
+)
+def test_constrained_groups_pass_the_certificate(kind, size):
+    g = _kernel_group(kind, size, 7)
+    rep = g.verify(mode="sampled", triples=100)
+    assert rep.pc_ok and rep.pc_pairs == 6 * (g.s_dim + 6)
 
 
 def _sampled_verify_peak(triples):
@@ -509,9 +567,10 @@ def test_sampled_verify_memory_does_not_grow_with_triples():
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
 def test_sampled_products_see_each_triple_once(monkeypatch, offset):
-    """Each chunk makes the nine sampled products (four for associativity,
-    three for identity and inverses, two for centrality) on the same columns,
-    and the chunks cover exactly ``triples`` columns."""
+    """Each chunk makes the seven sampled products (four for associativity,
+    three for identity and inverses) on the same columns, and the chunks cover
+    exactly ``triples`` columns; then the centrality certificate makes two
+    products on its 3 x 5 generator pairs."""
     g = unp_group(2, 3)
     triples = 1 if offset is None else g._chunk + offset
     ranks = g._subgroup_ranks()
@@ -527,4 +586,4 @@ def test_sampled_products_see_each_triple_once(monkeypatch, offset):
     assert rep.associativity_ok and rep.identity_inverse_ok and rep.pc_ok
     full, rest = divmod(triples, g._chunk)
     chunks = [g._chunk] * full + ([rest] if rest else [])
-    assert widths == [(w,) for w in chunks for _ in range(9)]
+    assert widths == [(w,) for w in chunks for _ in range(7)] + [(15,)] * 2
