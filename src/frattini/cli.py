@@ -52,12 +52,12 @@ EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
-# ``group -n`` above this is refused.  The commutator ranks take the C(k, 2)
-# commutators of the k lifts of S, n' = C(n + 1, 2) coordinates each: k = n for
-# U(n) but k = n' for the free group (--group g), whose memory grows as n^6 and
-# sets the cap.  At n = 20, p = 7 in sampled mode (2-core x86-64, numpy 2.4),
-# --group g took 15 s and 255 MiB at the default 10^5 triples (2.6 s with
-# --triples 1000); U(20, 7) took 15 s and 40 MiB (2 s with --triples 1000).
+# ``group -n`` above this is refused.  Memory stays flat in n; time sets the cap:
+# ``PGroup._mult`` runs one round of numpy calls per bracket coordinate, C(n, 2)
+# of them, on chunks that narrow as n' = C(n + 1, 2) grows.  At n = 20, p = 7 in
+# sampled mode (2-core x86-64, numpy 2.4) the default 10^5 triples took 8.0 s
+# and 41 MiB with --group g and 8.4 s and 39 MiB for U(20, 7), about 90 % of
+# it in ``_mult`` (1.0 s and 1.2 s with --triples 1000).
 GROUP_N_CAP = 20
 # Expanding a series through degree T with denominator exponent v = w + r
 # runs about (T + 1)(v + 1) big-integer steps and holds T + 1 coefficients;
@@ -354,8 +354,8 @@ def run_group(args: argparse.Namespace) -> tuple[dict, int]:
     if n > GROUP_N_CAP:
         raise CliError(
             EXIT_BAD_INPUT,
-            f"n = {n}: the free group's commutator ranks multiply C(n', 2) pairs of"
-            f" n' = {comb(n + 1, 2)} coordinates; both groups are capped at n <= {GROUP_N_CAP}",
+            f"n = {n}: each group product takes one round of array operations per"
+            f" bracket coordinate, {comb(n, 2)} of them; both groups are capped at n <= {GROUP_N_CAP}",
         )
     p = _prime(args.p)
     which = args.group

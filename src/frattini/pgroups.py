@@ -6,13 +6,13 @@ multiply-by-p lift of least residues,
 
     x * y = x + y + i([pi(x), pi(y)])
 
-An optional subspace S of the mod-p quotient carves out the subgroup
-pi^(-1)(S) of order p^(n' + dim S); without it the group is all of K with
-order p^(2n').  Always x^p = p x, so the elements of order dividing p are
-exactly p K and every one of them is central.  Every commutator and p-th power
-lies in p K as well, so the Frattini subgroup is an F_p subspace of p K and
-its order is p to an F_p rank.  That rank and membership in S are the only
-reductions here, and both go through ``fplin``.
+An optional set of coordinates spans a subspace S of the mod-p quotient; its
+subgroup pi^(-1)(S), where the other coordinates are multiples of p, has order
+p^(n' + dim S).  Without it the group is all of K with order p^(2n').  Always
+x^p = p x, so the elements of order dividing p are exactly p K and every one
+of them is central.  Every commutator and p-th power lies in p K as well, so
+the Frattini subgroup is an F_p subspace of p K and its order is p to an F_p
+rank, the one reduction here (``fplin.rank``).
 
 Batch verification runs on int64 numpy arrays laid out coordinate-major: a
 batch of elements is an (n', ...) array with one contiguous row per
@@ -193,7 +193,8 @@ class VerificationReport:
 
 
 class PGroup:
-    """The group on pi^(-1)(S) (or on all of K when S is omitted)."""
+    """The group on pi^(-1)(S), S spanned by the b_k at the coordinates k in
+    ``constraint`` (all of K when it is omitted)."""
 
     def __init__(self, algebra: TwoStepLieAlgebra, p, constraint=None):
         self.algebra = algebra
@@ -216,15 +217,12 @@ class PGroup:
         # Coordinates the bracket reads: i < j, so the largest j.
         self._span = 1 + max((j for _, terms in self._brackets for _, j, _ in terms), default=-1)
         self._chunk = _CHUNK_BYTES // (8 * n)  # columns per sampled or certificate chunk
-        if constraint is None:
-            self._s_basis, self._s_pivots = np.eye(n, dtype=np.int64), list(range(n))
-        else:
-            rows = _mod(np.asarray(list(constraint), dtype=np.int64).reshape(-1, n), self.p)
-            red, self._s_pivots = fplin.rref(FpMatrix(rows, self.p))
-            self._s_basis = red.entries[: len(self._s_pivots)].copy()
-        self.s_dim = self._s_basis.shape[0]
-        # Coordinates off the pivots that S reaches; the RREF basis is the identity on its pivots.
-        self._s_mixed = np.setdiff1d(np.flatnonzero(self._s_basis.any(axis=0)), self._s_pivots)
+        entries = range(n) if constraint is None else list(constraint)
+        if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < n for c in entries):
+            raise ValueError(f"constraint entries must be coordinate indices in range({n})")
+        self._s = np.unique(np.asarray(entries, dtype=np.int64))
+        self._off = np.setdiff1d(np.arange(n), self._s)
+        self.s_dim = len(self._s)
         self.constrained = constraint is not None
 
     # -- structure ------------------------------------------------------
@@ -234,11 +232,8 @@ class PGroup:
         return int(self.p) ** (self.algebra.gen_count + self.s_dim)
 
     def _members(self, cols: np.ndarray) -> np.ndarray:
-        """Boolean mask over the columns of an (n', m) batch: which reduce into S mod p."""
-        if not self.constrained:
-            return np.ones(cols.shape[1], dtype=bool)
-        red = fplin._reduce_rows(_mod(cols.T, self.p), self._s_basis, self._s_pivots, self.p)
-        return ~red.any(axis=1)
+        """Boolean mask over the columns of an (n', m) batch: which are p-multiples off S."""
+        return ~_mod(cols[self._off], self.p).any(axis=0)
 
     def contains(self, x: PGroupElement) -> bool:
         return bool(self._members(self._col(x))[0])
@@ -330,7 +325,8 @@ class PGroup:
         if self.order > budget:
             raise BudgetExceeded(f"order {self.order} exceeds the enumeration budget {budget}")
         n = self.algebra.gen_count
-        s_part = _mod(self._s_basis.T @ _all_vectors(self.p, self.s_dim), self.p)
+        s_part = np.zeros((n, int(self.p) ** self.s_dim), dtype=np.int64)
+        s_part[self._s] = _all_vectors(self.p, self.s_dim)
         cols = (s_part[:, :, None] + self.p * _all_vectors(self.p, n)[:, None, :]).reshape(n, -1)
         return cols[:, np.lexsort(cols[::-1])]
 
@@ -340,37 +336,36 @@ class PGroup:
 
     def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` uniform elements s + p t of pi^(-1)(S) as an (n', count) array,
-        left unreduced: entries are <= p - 1 + p (p - 1) < p^2.  s = sum_r c_r S_r
-        is c_r on the r-th pivot of the RREF basis of S, so only the coordinates
-        in ``_s_mixed`` take a product."""
+        left unreduced: entries are <= p - 1 + p (p - 1) < p^2.  t is drawn
+        first, then the digits of s on the coordinates of S."""
         xs = self.p * rng.integers(0, self.p, size=(self.algebra.gen_count, count), dtype=np.int64)
-        cs = rng.integers(0, self.p, size=(self.s_dim, count), dtype=np.int64)
-        xs[self._s_pivots] += cs
-        xs[self._s_mixed] += _mod(self._s_basis[:, self._s_mixed].T @ cs, self.p)
+        xs[self._s] += rng.integers(0, self.p, size=(self.s_dim, count), dtype=np.int64)
         return xs
 
     def _module_generators(self) -> np.ndarray:
         """Generators of the group as a Z/p^2 module, as the columns of an (n', m) array."""
-        n = self.algebra.gen_count
+        eye = np.eye(self.algebra.gen_count, dtype=np.int64)
         if not self.constrained:
-            return np.eye(n, dtype=np.int64)
-        return np.concatenate([self._s_basis.T, self.p * np.eye(n, dtype=np.int64)], axis=1)
+            return eye
+        return np.concatenate([eye[:, self._s], self.p * eye], axis=1)
 
     # -- verification --------------------------------------------------------
 
     def _subgroup_ranks(self) -> tuple[int, int, int]:
-        """(log_p |Frattini|, commutator rank, exponent) from the lifts of S,
-        batched: the commutators of all their pairs (``combinations`` order)
-        and their p-th powers are stacked columns; ``_mult_members`` raises
+        """(log_p |Frattini|, commutator rank, exponent) from the lifts e_k of S,
+        batched: the commutators of their pairs (``combinations`` order) and
+        their p-th powers are stacked columns; ``_mult_members`` raises
         ConstraintViolation on an operand off S.  The other module generators,
-        p e_k, are central (``verify`` certifies it) with p-th power 0."""
-        gens = self._s_basis.T
-        a, b = (gens[:, idx] for idx in np.triu_indices(gens.shape[1], 1))
+        p e_k, are central (``verify`` certifies it) with p-th power 0, and so
+        is each e_k with k >= ``_span``, which no bracket reads."""
+        lifts = np.eye(self.algebra.gen_count, dtype=np.int64)[:, self._s]
+        read = lifts[:, self._s < self._span]
+        a, b = (read[:, idx] for idx in np.triu_indices(read.shape[1], 1))
         mul = self._mult_members
         comms = mul(mul(mul(a, b), _mod(-a, self.q)), _mod(-b, self.q))
         comm_rank = _pk_log_order(comms.T, self.p)
-        frat_log = _pk_log_order(np.concatenate([comms, self._power(gens, int(self.p))], axis=1).T, self.p)
-        exponent = self.q if _mod(gens, self.p).any() else (int(self.p) if self.order > 1 else 1)
+        frat_log = _pk_log_order(np.concatenate([comms, self._power(lifts, int(self.p))], axis=1).T, self.p)
+        exponent = self.q if self.s_dim else int(self.p)
         return frat_log, comm_rank, exponent
 
     def _identity_inverse_ok(self, cols: np.ndarray) -> bool:
@@ -395,7 +390,8 @@ class PGroup:
         Exhaustive whenever the order fits the budget (mode "auto"), with all
         triples checked if order^3 <= 1e8 and at least ``triples`` seeded
         random triples otherwise.  mode "exhaustive" beyond the budget raises
-        BudgetExceeded; mode "sampled" never enumerates.
+        BudgetExceeded; mode "sampled" never enumerates; ValueError for
+        triples < 1, budget < 0 or seed < 0.
 
         All triples are checked on the Cayley table: the order^2 products are
         computed once and looked up as base-p^2 codes (first coordinate most
@@ -418,6 +414,10 @@ class PGroup:
             raise ValueError(f"unknown mode {mode!r}")
         if triples < 1:
             raise ValueError(f"triples = {triples}: at least one triple is needed")
+        if budget < 0:
+            raise ValueError(f"budget = {budget}: the enumeration budget cannot be negative")
+        if seed < 0:
+            raise ValueError(f"seed = {seed}: the seed must be non-negative")
         if mode == "exhaustive" and self.order > budget:
             raise BudgetExceeded(f"order {self.order} exceeds the exhaustive budget {budget}")
         exhaustive = mode == "exhaustive" or (mode == "auto" and self.order <= budget)
@@ -492,6 +492,4 @@ class PGroup:
 
 def unp_group(n: int, p) -> PGroup:
     """The universal group on n generators: constraint S = span(b_1..b_n)."""
-    alg = free_two_step(n)
-    rows = np.eye(alg.gen_count, dtype=np.int64)[:n]
-    return PGroup(alg, p, constraint=rows)
+    return PGroup(free_two_step(n), p, constraint=range(n))

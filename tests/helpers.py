@@ -272,11 +272,12 @@ def reference_module_log_order(rows, p):
 
 
 def reference_member_rows(group, rows):
-    """``PGroup._members`` on row-major elements, by one outer-product step per basis row of S."""
+    """``PGroup._members`` on row-major elements, by one outer-product step per
+    unit row e_k of S."""
     if not group.constrained:
         return np.ones(rows.shape[0], dtype=bool)
     red = np.mod(rows, group.p)
-    for basis_row in group._s_basis:
+    for basis_row in np.eye(group.algebra.gen_count, dtype=np.int64)[group._s]:
         c = int(np.nonzero(basis_row)[0][0])
         red = (red - np.outer(red[:, c], basis_row)) % group.p
     return ~red.any(axis=1)

@@ -312,6 +312,21 @@ def test_group_budget_error_gives_one_hint():
     assert err == "error: order 9 exceeds the exhaustive budget 0 (retry with --mode sampled)\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--budget", "-1"], "error: budget = -1: the enumeration budget cannot be negative\n"),
+        (["--mode", "exhaustive", "--budget", "-1"], "error: budget = -1: the enumeration budget cannot be negative\n"),
+        (["--mode", "sampled", "--budget", "-5"], "error: budget = -5: the enumeration budget cannot be negative\n"),
+        (["--seed", "-1"], "error: seed = -1: the seed must be non-negative\n"),
+    ],
+    ids=["auto-budget", "exhaustive-budget", "sampled-budget", "seed"],
+)
+def test_group_negative_budget_or_seed_exits_3(flags, message):
+    code, out, err = invoke(["group", "-n", "2", "-p", "3"] + flags)
+    assert (code, out, err) == (EXIT_BAD_INPUT, "", message)
+
+
 @pytest.mark.parametrize("which", ["u", "g"])
 def test_group_n_above_cap_exits_3_before_building(which, monkeypatch):
     def built(*args, **kwargs):

@@ -116,6 +116,32 @@ def test_constraint_membership():
         g.multiply(PGroupElement((0, 0, 1)), g.identity())
 
 
+def test_constraint_is_a_set_of_coordinates():
+    g = PGroup(free_two_step(3), 5, constraint=np.array([5, 0, 5]))
+    assert g._s.tolist() == [0, 5] and g._off.tolist() == [1, 2, 3, 4]
+    assert g.s_dim == 2 and g.order == 5 ** 8 and g.constrained
+    assert g.contains(PGroupElement((4, 5, 10, 0, 15, 3)))
+    assert not g.contains(PGroupElement((4, 5, 10, 1, 15, 3)))
+    assert PGroup(free_two_step(3), 5, constraint=()).order == 5 ** 6
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        [0, 1.0],  # not an integer
+        [True, 2],  # a bool is not an index
+        ["1"],
+        [0, 6],  # outside range(6)
+        [-1],
+        np.eye(6, dtype=np.int64)[:3],  # rows spanning S, no longer accepted
+        [[1, 0, 0, 0, 0, 0]],
+    ],
+)
+def test_constraint_rejects_non_coordinates(constraint):
+    with pytest.raises(ValueError, match=r"range\(6\)"):
+        PGroup(free_two_step(3), 5, constraint=constraint)
+
+
 def test_elements_enumeration():
     g = unp_group(2, 3)
     elems = g.elements()
@@ -236,7 +262,8 @@ def test_unp_group_at_n_64_constructs():
 
 def _dense_group(gens, central, p, constrained):
     """Dense random brackets of the non-central generators into the central ones,
-    with a random constraint on as many rows as there are non-central generators."""
+    with S on as many random coordinates, central ones included, as there are
+    non-central generators."""
     rng = np.random.default_rng([gens, central, p])
     free = gens - central
     bracket = {
@@ -244,7 +271,7 @@ def _dense_group(gens, central, p, constrained):
         for i, j in combinations(range(free), 2)
     }
     alg = TwoStepLieAlgebra(gens, bracket, frozenset(range(free, gens)))
-    return PGroup(alg, p, constraint=rng.integers(0, p, size=(free, gens)) if constrained else None)
+    return PGroup(alg, p, constraint=rng.choice(gens, size=free, replace=False) if constrained else None)
 
 
 _PRIMES = (3, 7, 46337)
@@ -256,10 +283,12 @@ _KERNEL_CASES = (
 )
 
 
-# S on the free group with n = 3 (n' = 6): the zero subspace, and one off the coordinate axes.
+# S on the free group with n = 3 (n' = 6, _span = 3): no coordinates, coordinates
+# the bracket reads mixed with ones it does not, and only ones it does not.
 _FREE3_CONSTRAINTS = {
-    "zero-S": np.zeros((0, 6), dtype=np.int64),
-    "mixed-S": [[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+    "zero-S": [],
+    "mixed-S": [4, 1, 5, 1],
+    "unread-S": [3, 5],
 }
 
 
@@ -353,10 +382,11 @@ def test_pk_log_order_rejects_rows_outside_pk(p):
 
 
 @pytest.mark.parametrize("p", _PRIMES)
-@pytest.mark.parametrize("shape", ((2, 1), (4, 2), (6, 3), (7, 2)))
+@pytest.mark.parametrize("shape", ((2, 1), (4, 2), (6, 3), (7, 2), *_FREE3_CONSTRAINTS))
 def test_member_rows_matches_reference(shape, p):
-    g = _dense_group(*shape, p, constrained=True)
-    rng = np.random.default_rng([p, *shape])
+    """On the dense groups (shape) and on the free group with n = 3 (S by name)."""
+    g = _kernel_group("free-S" if isinstance(shape, str) else "dense-S", shape, p)
+    rng = np.random.default_rng([p, g.algebra.gen_count, len(g.algebra.central)])
     on = g._sample(rng, 30)
     off = rng.integers(0, g.q, size=(g.algebra.gen_count, 30))
     cols = np.concatenate([on, off], axis=1)
@@ -461,8 +491,9 @@ def test_product_leaving_the_subgroup_fails_sampled(monkeypatch):
 
 @pytest.mark.parametrize("p", _PRIMES)
 def test_subgroup_ranks_take_a_few_batched_products(monkeypatch, p):
-    """Three products for the commutators of the lifts of S; for their p-th
-    powers one squaring per bit of p and one product per set bit."""
+    """Three products for the commutators of the lifts of S that the bracket
+    reads; for the p-th powers of all lifts one squaring per bit of p and one
+    product per set bit."""
     calls = []
 
     def counting(self, a, b):
@@ -470,10 +501,12 @@ def test_subgroup_ranks_take_a_few_batched_products(monkeypatch, p):
         return _KERNEL(self, a, b)
 
     monkeypatch.setattr(PGroup, "_mult", counting)
-    g = unp_group(3, p)  # dim S = 3, so 3 pairs
-    g._subgroup_ranks()
-    assert len(calls) == 3 + int(p).bit_length() + bin(p).count("1")
-    assert calls[:3] == [(6, 3)] * 3 and set(calls[3:]) == {(6, 3)}
+    # U(3): dim S = 3; the free group on 3: dim S = 6, of which 3 lie below _span = 3.
+    for g, lifts in ((unp_group(3, p), 3), (PGroup(free_two_step(3), p), 6)):
+        calls.clear()
+        g._subgroup_ranks()
+        assert len(calls) == 3 + int(p).bit_length() + bin(p).count("1")
+        assert calls[:3] == [(6, 3)] * 3 and set(calls[3:]) == {(6, lifts)}
 
 
 def test_subgroup_ranks_reject_products_off_the_constraint(monkeypatch):
