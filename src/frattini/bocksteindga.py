@@ -19,6 +19,15 @@ polynomial ones) this is one Leibniz pass with two closed-form rules:
       (-1)^|S| e (x_S x_j z^(E - g + i) - x_S x_i z^(E - g + j)), a summand
       vanishing when its x is already in S.
 
+The rules split beta(x_S z^E) = beta(x_S) z^E + (-1)^|S| x_S beta(z^E), and
+rule (b)'s summands depend on z^E alone.  So the kernel builds them once per
+distinct polynomial part, in a table owned by one call: bockstein() makes
+one per call and verify_differential one per sweep, read at both beta
+levels.  It holds at most one entry per polynomial part with a z_(i,j),
+each of at most 2 floor(d / 2) summands at degree d, so it never outgrows
+the monomials being checked.  Both rules take their signs from bit counts
+of the mask, with no merge-sign loop.
+
 Restriction to the universal subgroup kills every x_(i,j) and every product
 x_i x_j, and renames z to s in printed output; the Bockstein descends since
 it preserves that ideal.
@@ -235,24 +244,11 @@ def _mul_term_dicts(d1: dict, d2: dict) -> dict:
     return out
 
 
-def _add_beta_term(out: dict, amb: Generators, mask: int, mono: tuple[int, ...], c: int) -> None:
-    """Add c * beta(x_S z^E) into out by rules (a) and (b) of the module docstring."""
+def _rule_b(amb: Generators, mono: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Rule (b)'s summands of z^E as (x bit, lowered mono, +-e):
+    two per distinct z_(i,j) of mono, the only input they depend on."""
     n, pairs = amb.n, amb.pairs
-    rest, k = mask, 0
-    while rest:
-        low = rest & -rest
-        g = low.bit_length() - 1
-        if g >= n:
-            i, j = pairs[g - n]
-            xij, others = (1 << (i - 1)) | (1 << (j - 1)), mask ^ low
-            if not xij & others:
-                key = (xij | others, mono)
-                out[key] = out.get(key, 0) + (c if k % 2 else -c) * _merge_sign(xij, others)
-        rest ^= low
-        k += 1
-    c_s = -c if k % 2 else c  # (-1)^|S| c
-    if not mono or mono[-1] < n:  # no z_(i,j) factor
-        return
+    out = []
     for g in dict.fromkeys(mono):
         if g < n:
             continue
@@ -262,10 +258,43 @@ def _add_beta_term(out: dict, amb: Generators, mask: int, mono: tuple[int, ...],
         lowered = mono[:at] + mono[at + 1:]
         for x, z, coeff in ((j, i, e), (i, j, -e)):
             xbit = 1 << (x - 1)
-            if mask & xbit:
-                continue
-            key = (mask | xbit, tuple(sorted(lowered + (z - 1,))))
-            out[key] = out.get(key, 0) + coeff * c_s * _merge_sign(mask, xbit)
+            out.append((xbit, tuple(sorted(lowered + (z - 1,))), coeff))
+    return tuple(out)
+
+
+def _add_beta_term(out: dict, amb: Generators, mask: int, mono: tuple[int, ...], c: int, rules: dict) -> None:
+    """Add c * beta(x_S z^E) into out by rules (a) and (b) of the module docstring.
+
+    Rule (a) walks only the pair bits of mask.  Its x_g term's sign is
+    -(-1)^k times the merge sign of x_i x_j into the other factors, whose
+    parity is the count of factors strictly between x_i and x_j: one bit
+    count over (bits below x_g) xor (bits from x_i to just below x_j).
+    Rule (b) reads z^E's summands from ``rules``, the caller's table, where
+    ``_rule_b`` puts them on the first call with that mono: one entry per
+    distinct mono with a z_(i,j), at most 2 len(mono) summands each.  Moving
+    x into x_S passes the factors above it, so with (-1)^|S| a summand's sign
+    is (-1)^(factors below x).
+    """
+    n, pairs = amb.n, amb.pairs
+    rest = mask >> n
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i, j = pairs[low.bit_length() - 1]
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        if not mask & (bi | bj):
+            bit = low << n
+            key = ((mask ^ bit) | bi | bj, mono)
+            out[key] = out.get(key, 0) + (c if (mask & ((bit - 1) ^ (bj - bi))).bit_count() % 2 else -c)
+    if not mono or mono[-1] < n:  # no z_(i,j) factor
+        return
+    rule = rules.get(mono)
+    if rule is None:
+        rule = rules[mono] = _rule_b(amb, mono)
+    for xbit, lowered, coeff in rule:
+        if not mask & xbit:
+            key = (mask | xbit, lowered)
+            out[key] = out.get(key, 0) + (-coeff * c if (mask & (xbit - 1)).bit_count() % 2 else coeff * c)
 
 
 def bockstein(a: BigradedElement) -> BigradedElement:
@@ -273,8 +302,9 @@ def bockstein(a: BigradedElement) -> BigradedElement:
     if a.ambient.p <= 3:
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
     out: dict = {}
+    rules: dict = {}
     for (mask, mono), c in a._terms.items():
-        _add_beta_term(out, a.ambient, mask, mono, c)
+        _add_beta_term(out, a.ambient, mask, mono, c, rules)
     return BigradedElement(a.ambient, out)
 
 
@@ -326,9 +356,12 @@ def verify_differential(
 
     beta^2 is checked on raw term dicts: _add_beta_term gives beta(m), each of
     its terms nonzero mod p goes through _add_beta_term again, and m counts
-    as a violation when any coefficient of the result is nonzero mod p.
+    as a violation when any coefficient of the result is nonzero mod p.  Both
+    levels share one rule table, so each polynomial part's rule (b) is built
+    once per sweep.
 
-    Raises BudgetExceeded, before building any monomial, when there are more
+    Raises ValueError for a negative max_degree, leibniz_pairs or seed, and
+    BudgetExceeded, before building any monomial, when there are more
     than SWEEP_BUDGET of them: sum over k of C(N, k) C((d - k) // 2 + N, N)
     with N = n + C(n, 2) generators in each block and d = max_degree.
     """
@@ -338,6 +371,8 @@ def verify_differential(
     for name, value in (("max_degree", max_degree), ("leibniz_pairs", leibniz_pairs)):
         if value < 0:
             raise ValueError(f"{name} = {value} must be nonnegative")
+    if seed < 0:  # Random(-s) draws the same pairs as Random(s)
+        raise ValueError(f"seed = {seed}: the seed must be non-negative")
     amb = Generators(n, p)
     count = amb.count
     total = sum(comb(count, k) * comb((max_degree - k) // 2 + count, count) for k in range(min(max_degree, count) + 1))
@@ -345,13 +380,14 @@ def verify_differential(
         raise BudgetExceeded(f"{total} monomials of degree <= {max_degree} exceed the sweep budget {SWEEP_BUDGET}")
     monos = _monomials_up_to(amb, max_degree)
     bad_square = 0
+    rules: dict = {}
     for mask, mono in monos:
         once: dict = {}
-        _add_beta_term(once, amb, mask, mono, 1)
+        _add_beta_term(once, amb, mask, mono, 1, rules)
         twice: dict = {}
         for (m, e), c in once.items():
             if c % p:
-                _add_beta_term(twice, amb, m, e, c)
+                _add_beta_term(twice, amb, m, e, c, rules)
         if any(c % p for c in twice.values()):
             bad_square += 1
 

@@ -11,6 +11,7 @@ from frattini.bocksteindga import (
     PrimeTooSmall,
     _add_beta_term,
     _monomials_up_to,
+    _rule_b,
     bockstein,
     format_bigraded,
     restrict_to_unp,
@@ -224,11 +225,16 @@ CORPUS = [(3, 5, 6), (4, 7, 5)]
 
 
 def _corpus_disagreements(kernel, amb, max_degree):
-    """Monomials of degree <= max_degree on which kernel and the recursion differ mod p."""
+    """Monomials of degree <= max_degree on which kernel and the recursion differ mod p.
+
+    One rule table serves the whole corpus, as it serves a whole sweep: each
+    mono's rule (b) is built under the first mask that meets it and then read
+    under masks that do and do not hold its x bits."""
     bad = 0
+    rules: dict = {}
     for mono in _monomials_up_to(Generators(amb.n, amb.p), max_degree):
         got: dict = {}
-        kernel(got, amb, *mono, 1)
+        kernel(got, amb, *mono, 1, rules)
         if BigradedElement(amb, got) != BigradedElement(amb, reference_beta_term(amb, *mono)):
             bad += 1
     return bad
@@ -256,20 +262,26 @@ def test_bockstein_matches_recursion_on_sums(restricted):
 
 
 def _mutant(old, new):
-    """A copy of the Leibniz kernel with one source fragment replaced."""
-    source = inspect.getsource(_add_beta_term)
+    """A copy of the Leibniz kernel, rule (b)'s builder included, with one
+    source fragment of either replaced; the copy calls its own builder."""
+    source = inspect.getsource(_rule_b) + inspect.getsource(_add_beta_term)
     assert source.count(old) == 1, f"mutation target {old!r} not found"
     namespace = dict(vars(bocksteindga))
     exec(source.replace(old, new), namespace)
     return namespace["_add_beta_term"]
 
 
+# Drop the exponent factor e of rule (b).
+DROP_E = ("((j, i, e), (i, j, -e))", "((j, i, 1), (i, j, -1))")
+# Drop rule (b)'s (-1)^|S|: count only the factors above x, the merge sign alone.
+DROP_S_SIGN = ("(mask & (xbit - 1))", "(mask & -xbit)")
+# Drop the x_i x_j merge sign from rule (a)'s parity, keeping -(-1)^k.
+DROP_MERGE_SIGN = ("((bit - 1) ^ (bj - bi))", "(bit - 1)")
+
+
 @pytest.mark.parametrize(
     "old, new",
-    [
-        ("((j, i, e), (i, j, -e))", "((j, i, 1), (i, j, -1))"),  # drop the exponent factor e
-        ("c_s = -c if k % 2 else c", "c_s = c"),  # drop the (-1)^|S| sign
-    ],
+    [DROP_E, pytest.param(*DROP_S_SIGN, id="drop-S-sign"), pytest.param(*DROP_MERGE_SIGN, id="drop-merge-sign")],
 )
 @pytest.mark.parametrize("n, p, max_degree", CORPUS)
 def test_corpus_catches_mutants(n, p, max_degree, old, new):
@@ -279,7 +291,7 @@ def test_corpus_catches_mutants(n, p, max_degree, old, new):
 def test_sweep_counts_square_violations_of_a_broken_kernel(monkeypatch):
     """Without the (-1)^|S| sign beta^2 is no longer zero; the term-dict sweep
     must count exactly the monomials that bockstein(bockstein(m)) flags."""
-    monkeypatch.setattr(bocksteindga, "_add_beta_term", _mutant("c_s = -c if k % 2 else c", "c_s = c"))
+    monkeypatch.setattr(bocksteindga, "_add_beta_term", _mutant(*DROP_S_SIGN))
     expected = reference_square_violations(3, 5, 5)
     assert expected > 0
     assert verify_differential(3, 5, 5, leibniz_pairs=0).beta_squared_violations == expected

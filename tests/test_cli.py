@@ -327,6 +327,13 @@ def test_group_negative_budget_or_seed_exits_3(flags, message):
     assert (code, out, err) == (EXIT_BAD_INPUT, "", message)
 
 
+def test_bockstein_negative_seed_exits_3():
+    """Random(-5) seeds the stream of Random(5), so --seed -5 would repeat
+    --seed 5's Leibniz pairs under another name."""
+    code, out, err = invoke(["bockstein", "-n", "2", "-p", "5", "--max-degree", "2", "--seed", "-5"])
+    assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: seed = -5: the seed must be non-negative\n")
+
+
 @pytest.mark.parametrize("which", ["u", "g"])
 def test_group_n_above_cap_exits_3_before_building(which, monkeypatch):
     def built(*args, **kwargs):
