@@ -393,7 +393,7 @@ def verify_differential(
 
     rng = Random(seed)
     by_degree: dict[int, list] = {}
-    for mask, mono in monos:
+    for mask, mono in monos if leibniz_pairs else ():  # only the pairs draw from it
         by_degree.setdefault(_term_degree(mask, mono), []).append((mask, mono))
     degrees = sorted(by_degree)
     bad_leibniz = 0

@@ -565,5 +565,6 @@ def unp_complex(n: int, p) -> KoszulComplex:
     for eb, _ in _basis_bits(n, 0, 2):
         entries.append((zero_b, QuadraticForm(amb0, {(eb, 0): 1})))
     k = KInvariantSubspace(n, p, tuple(entries))
-    assert k.v == n + comb(n, 2)
+    if k.v != n + comb(n, 2):
+        raise AssertionError(f"v = {k.v}: the universal subspace must have dimension n + C(n, 2) = {n + comb(n, 2)}")
     return canonicalize(k)

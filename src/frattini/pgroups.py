@@ -25,9 +25,11 @@ a + b + p (bracket mod p) and reduces mod p^2 once.  Residues are
 x - m (x // m) (``_mod``): numpy divides by a scalar far faster than it
 takes ``%``.  The modulus is capped and the pairs per coordinate are
 counted, so every intermediate stays exact.  Small groups have associativity
-checked on every triple of their Cayley table; sampled checks draw and check
-their triples, and no other elements, a fixed-size chunk at a time, so memory
-does not grow with the triple count.  In every mode p K is certified central
+certified on every triple of their Cayley table by Light's test, read only
+at the module generators as middle elements (all elements if those fail to
+generate the table); sampled checks draw and check their triples, and no
+other elements, a fixed-size chunk at a time, so memory does not grow with
+the triple count.  In every mode p K is certified central
 on the pairs (p e_k, module generator), which is exact given the axioms.
 """
 
@@ -161,6 +163,23 @@ def _all_vectors(p: int, k: int) -> np.ndarray:
     """All of [0, p)^k as the columns of a (k, p^k) array, lexicographic."""
     grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * k), indexing="ij")
     return np.stack(grids).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
+
+
+def _table_associative(M: np.ndarray, gens: np.ndarray) -> bool:
+    """Whether the index table M (M[x, y] the index of x y, all in range(N)) is
+    associative, by Light's test (x a) y = x (a y) for all x and y at each
+    middle a, up to the first failure.  The middles are ``gens`` when a
+    right-multiplication closure from them reaches all N elements, and all N
+    otherwise; ``PGroup.verify`` states why that is exact."""
+    reached = np.zeros(len(M), dtype=bool)
+    reached[gens] = True
+    frontier = gens
+    while len(frontier):
+        new = np.unique(M[frontier][:, gens])
+        frontier = new[~reached[new]]
+        reached[frontier] = True
+    middles = gens if reached.all() else range(len(M))
+    return all(np.array_equal(M[M[:, a]], M[:, M[a]]) for a in middles)  # (x a) y, x (a y)
 
 
 def _pk_log_order(rows: np.ndarray, p: int) -> int:
@@ -393,13 +412,21 @@ class PGroup:
         BudgetExceeded; mode "sampled" never enumerates; ValueError for
         triples < 1, budget < 0 or seed < 0.
 
-        All triples are checked on the Cayley table: the order^2 products are
-        computed once and looked up as base-p^2 codes (first coordinate most
-        significant, below q^n' <= order^2 <= 464^2) among the sorted codes of
-        the elements.  A product missing there fails closure, hence
-        associativity.  In exhaustive mode identity and inverses are checked
-        with ``_mult`` on the enumerated elements, and Omega_1 is counted
-        among them.
+        All triples are certified on the Cayley table: the order^2 products
+        are computed once and looked up as base-p^2 codes (first coordinate
+        most significant, below q^n' <= order^2 <= 464^2) among the sorted
+        codes of the elements, giving the index table M.  A product missing
+        there fails closure, hence associativity.  Otherwise
+        ``_table_associative`` runs Light's test: (x a) y = x (a y) for all x
+        and y, for each module generator a.  The a passing it are closed
+        under the product, since (x (a b)) y = ((x a) b) y = (x a) (b y)
+        = x (a (b y)) = x ((a b) y); so once a right-multiplication closure
+        on M from the generators reaches every element, the generators as
+        middles (5 for U(2, 3)) cover all order^3 triples.  If it falls
+        short, all order middles are read, so ``associativity_ok`` always
+        means the table is associative.  In exhaustive mode identity and
+        inverses are checked with ``_mult`` on the enumerated elements, and
+        Omega_1 is counted among them.
 
         Sampled triples are drawn and checked ``_chunk`` columns at a time
         (``_CHUNK_BYTES`` per operand), so memory stays flat as ``triples``
@@ -427,6 +454,7 @@ class PGroup:
         frat_log, comm_rank, exponent = self._subgroup_ranks()
         log_order = n + self.s_dim
         E = self._enumerate(budget) if exhaustive else None
+        gens = self._module_generators()
         mul = self._mult
 
         ident_ok = True
@@ -436,10 +464,7 @@ class PGroup:
             table = np.tensordot(weights, mul(E[:, :, None], E[:, None, :]), 1)
             M = np.searchsorted(codes, table)  # M[x, y]: index of E[x] * E[y]
             assoc_ok = np.array_equal(codes[np.minimum(M, self.order - 1)], table)
-            for z in range(self.order) if assoc_ok else ():
-                if not np.array_equal(M[:, z][M], M[:, M[:, z]]):  # (xy)z, x(yz)
-                    assoc_ok = False
-                    break
+            assoc_ok = assoc_ok and _table_associative(M, np.searchsorted(codes, weights @ gens))
             n_triples = self.order ** 3
         else:
             assoc_ok = True
@@ -451,7 +476,6 @@ class PGroup:
                     ident_ok = ident_ok and self._identity_inverse_ok(xs)
             n_triples = triples
 
-        gens = self._module_generators()
         pairs, pc_pairs = n * gens.shape[1], 0
         for start in range(0, pairs, self._chunk):
             k, j = np.divmod(np.arange(start, min(start + self._chunk, pairs)), gens.shape[1])
@@ -467,7 +491,8 @@ class PGroup:
             if self.p ** omega1_rank != len(omega):
                 raise AssertionError("count of order-p elements must be a p-power")
             exponent_seen = self.q if len(omega) < self.order else (int(self.p) if self.order > 1 else 1)
-            assert exponent_seen == exponent
+            if exponent_seen != exponent:
+                raise AssertionError(f"exponent {exponent_seen} seen among the elements, {exponent} from the generators")
             report_mode = "exhaustive"
         else:
             omega1_rank = n  # Omega_1 = p K

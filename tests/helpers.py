@@ -316,6 +316,38 @@ def reference_subgroup_ranks(group):
     return frat_log, reference_module_log_order(comm_rows, p), exponent
 
 
+def reference_index_table(group, products=None):
+    """(M, index): the Cayley table of ``group`` as indices into its enumerated
+    elements E, M[x, y] the index of E[x] E[y], found by dict lookup; ``index``
+    maps a coordinate tuple to its index.  ``products(E)`` gives the (N, N, n')
+    products, ``reference_mult_rows_outer`` by default."""
+    E = group._enumerate(group.order).T
+    P = reference_mult_rows_outer(group, E, E) if products is None else products(E)
+    index = {row: i for i, row in enumerate(map(tuple, E.tolist()))}
+    M = np.array([[index[tuple(row)] for row in block] for block in P.tolist()])
+    return M, index
+
+
+def reference_table_associative(M):
+    """Whether M[M[x, y], z] == M[x, M[y, z]] on all N^3 triples of an index
+    table, one z at a time."""
+    return all(np.array_equal(M[M, z], M[:, M[:, z]]) for z in range(len(M)))
+
+
+def reference_is_prime(n):
+    """Primality by trial division by 2 and the odd d with d^2 <= n."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
 def reference_exhaustive_report(group):
     """``group.verify(mode="exhaustive")`` for order^3 <= 1e8, one z at a time.
 

@@ -339,6 +339,21 @@ def test_sweep_budget_counts_exactly_the_monomials(monkeypatch, n, p, max_degree
         verify_differential(n, p, max_degree, leibniz_pairs=0)
 
 
+def test_sweep_without_pairs_groups_no_monomials_by_degree(monkeypatch):
+    """Only the Leibniz pairs read the monomials grouped by degree."""
+    calls = []
+    degree = bocksteindga._term_degree
+    monkeypatch.setattr(bocksteindga, "_term_degree", lambda *t: calls.append(t) or degree(*t))
+    rep = verify_differential(4, 7, 7, leibniz_pairs=0, seed=3)
+    assert not calls
+    assert rep == bocksteindga.BocksteinReport(
+        n=4, p=7, max_degree=7, monomials_checked=19448, beta_squared_violations=0,
+        leibniz_pairs=0, leibniz_violations=0, seed=3,
+    )
+    verify_differential(2, 5, 3, leibniz_pairs=1)
+    assert len(calls) >= len(_monomials_up_to(Generators(2, 5), 3))
+
+
 def test_sweep_budget_refuses_before_enumerating(monkeypatch):
     def refuse(amb, d):
         raise AssertionError("monomials enumerated")

@@ -14,7 +14,13 @@ from frattini.fplin import (
     solve,
 )
 
-from helpers import _Echelon, reference_kernel_basis, reference_quotient_representatives, reference_rref
+from helpers import (
+    _Echelon,
+    reference_is_prime,
+    reference_kernel_basis,
+    reference_quotient_representatives,
+    reference_rref,
+)
 
 
 def test_prime_accepts_odd_primes():
@@ -28,6 +34,18 @@ def test_prime_accepts_odd_primes():
 def test_prime_rejects(bad):
     with pytest.raises(ValueError):
         Prime(bad)
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    assert [fplin._is_prime(n) for n in range(-5, 200_000)] == [reference_is_prime(n) for n in range(-5, 200_000)]
+
+
+@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 2**31 - 1])
+def test_is_prime_on_strong_pseudoprimes_and_the_cap(n):
+    """Composites that pass the strong test to some of the bases 2, 3, 5 and 7
+    (2047 to base 2, 1373653 to bases 2 and 3, 25326001 to 2, 3 and 5), and
+    the largest prime below the 2**31 cap."""
+    assert fplin._is_prime(n) == reference_is_prime(n) == (n == 2**31 - 1)
 
 
 def test_matrix_reduces_entries_and_is_readonly():

@@ -21,10 +21,13 @@ from frattini.pgroups import (
 )
 from helpers import (
     reference_exhaustive_report,
+    reference_index_table,
     reference_member_rows,
     reference_module_log_order,
     reference_mult_rows,
+    reference_mult_rows_outer,
     reference_subgroup_ranks,
+    reference_table_associative,
 )
 
 
@@ -398,14 +401,85 @@ def test_member_rows_matches_reference(shape, p):
 _ODD_PRIMES_TO_19 = (3, 5, 7, 11, 13, 17, 19)
 
 
+def _small_random_group(seed, p):
+    """A random algebra on 3 generators, one central, with S on two random
+    coordinates: order p^5, so order^3 <= 1e8 at p = 3."""
+    rng = np.random.default_rng(seed)
+    alg = TwoStepLieAlgebra(3, {(0, 1): {2: int(rng.integers(1, p))}}, frozenset({2}))
+    return PGroup(alg, p, constraint=rng.choice(3, size=2, replace=False).tolist())
+
+
 @pytest.mark.parametrize(
     "which, n, p",
-    [("u", 1, p) for p in _ODD_PRIMES_TO_19] + [("g", 1, p) for p in _ODD_PRIMES_TO_19] + [("u", 2, 3)],
+    [("u", 1, p) for p in _ODD_PRIMES_TO_19] + [("g", 1, p) for p in _ODD_PRIMES_TO_19]
+    + [("u", 2, 3), ("random", 1, 3), ("random", 2, 3)],
 )
 def test_table_report_matches_reference_loop(which, n, p):
-    g = unp_group(n, p) if which == "u" else PGroup(free_two_step(n), p)
+    g = {"u": unp_group, "g": lambda n, p: PGroup(free_two_step(n), p), "random": _small_random_group}[which](n, p)
     assert g.order ** 3 <= pgroups.ASSOC_EXHAUSTIVE_BUDGET
     assert g.verify(mode="exhaustive") == reference_exhaustive_report(g)
+
+
+def _u23_table():
+    """U(2, 3)'s index table with the indices of its 5 module generators (the
+    2 lifts of S, then the 3 elements p e_k) and of the 3 p e_k alone."""
+    g = unp_group(2, 3)
+    M, index = reference_index_table(g)
+    gens = np.array([index[tuple(col)] for col in g._module_generators().T.tolist()])
+    return g, M, gens, gens[2:]
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_light_test_matches_brute_force_on_perturbed_tables(seed):
+    """One product sent to another element: closure is kept, and the verdict
+    at the generators, and with only the p e_k (which fall back to all
+    middles), equals the N^3 loop's."""
+    _, M, gens, pk = _u23_table()
+    rng = np.random.default_rng(seed)
+    x, y = rng.integers(0, len(M), size=2)
+    M = M.copy()
+    M[x, y] = (M[x, y] + rng.integers(1, len(M))) % len(M)
+    expected = reference_table_associative(M)
+    assert pgroups._table_associative(M, gens) == expected
+    assert pgroups._table_associative(M, pk) == expected
+
+
+def test_light_test_falls_back_when_the_generators_fall_short():
+    """Adding p x_0^2 y_1 to the last coordinate breaks associativity, yet
+    (x a) y = x (a y) at every a = p e_k (a_0 and a_1 vanish mod p, and
+    (x a)_0 = x_0); the p e_k generate only p K, so all middles are read."""
+    g, _, _, pk = _u23_table()
+    p, q = int(g.p), g.q
+
+    def products(E):
+        P = reference_mult_rows_outer(g, E, E)
+        P[..., -1] = (P[..., -1] + p * (E[:, None, 0] % p) ** 2 * (E[None, :, 1] % p)) % q
+        return P
+
+    M, _ = reference_index_table(g, products)
+    assert not reference_table_associative(M)
+    assert all(np.array_equal(M[M[:, a]], M[:, M[a]]) for a in pk)
+    assert not pgroups._table_associative(M, pk)
+
+
+@pytest.mark.parametrize("which", ["generators", "p K"])
+def test_light_test_reads_the_generators_as_middles(monkeypatch, which):
+    """U(2, 3): 5 middles when they generate the table, all 243 otherwise."""
+    _, M, gens, pk = _u23_table()
+    calls = []
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or equal(a, b))
+    assert pgroups._table_associative(M, gens if which == "generators" else pk)
+    assert len(calls) == (5 if which == "generators" else 243)
+
+
+def test_verify_raises_on_an_exponent_mismatch(monkeypatch):
+    """A plain ``if``, not ``assert``: the check holds under ``python -O`` too."""
+    g = unp_group(2, 3)
+    frat_log, comm_rank, _ = g._subgroup_ranks()
+    monkeypatch.setattr(g, "_subgroup_ranks", lambda: (frat_log, comm_rank, 3))
+    with pytest.raises(AssertionError, match="exponent 9 seen"):
+        g.verify(mode="exhaustive")
 
 
 _KERNEL = PGroup._mult
