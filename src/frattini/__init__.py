@@ -6,7 +6,7 @@ oracle for the universal extensions, explicit p-group realizations, and a
 bigraded Bockstein model, tied together by the ``frattini`` CLI.
 """
 
-from .fplin import BoundaryNotCycle, FpMatrix, Prime, as_prime
+from .fplin import BoundaryNotCycle, BudgetExceeded, FpMatrix, Prime, as_prime
 from .extalg import Ambient, ExtElement, Monomial, ParseError, QuadraticForm, basis, parse, wedge
 from .koszul import (
     BettiTable,
@@ -34,7 +34,6 @@ from .younghook import (
     unp_betti,
 )
 from .pgroups import (
-    BudgetExceeded,
     ConstraintViolation,
     PGroup,
     PGroupElement,

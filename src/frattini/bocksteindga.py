@@ -49,8 +49,7 @@ from random import Random
 from typing import Iterator, Mapping
 
 from .extalg import _merge_sign, _TermMap
-from .fplin import Prime, as_prime
-from .pgroups import BudgetExceeded
+from .fplin import BudgetExceeded, Prime, as_prime
 
 __all__ = [
     "Generators",

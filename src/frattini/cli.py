@@ -13,9 +13,10 @@ guaranteed; 2 Bockstein block not contained in the input subspace; 3 invalid
 input, including group -n above GROUP_N_CAP; 4 a resource limit was hit: the
 group enumeration budget (retry with --mode sampled), the Bockstein sweep
 budget (lower --max-degree), the series expansion bound (truncate + 1)(w + r + 1)
-<= EXPANSION_CAP of series, koszul and unp (lower --truncate) or the available
-memory (MemoryError, "error: out of memory"); 5 internal error (any other
-exception, "error: internal error (...)", nothing on stdout).
+<= EXPANSION_CAP of series, koszul and unp (lower --truncate), a Koszul block
+over fplin.BLOCK_CAP (fplin.check_block) or the available memory (MemoryError,
+"error: out of memory"); 5 internal error (any other exception, "error:
+internal error (...)", nothing on stdout).
 
 Machine-readable output (--format json) is byte-identical for identical
 arguments and seed.  The only environment variable consulted is NO_COLOR.
@@ -33,7 +34,7 @@ from typing import Any
 
 from . import bocksteindga, koszul, pgroups, series, younghook
 from .extalg import Ambient, ExtElement, ParseError, QuadraticForm, parse
-from .fplin import Prime, as_prime
+from .fplin import BudgetExceeded, Prime, as_prime
 
 __all__ = [
     "main",
@@ -235,12 +236,10 @@ def _complex_report(
     max_reps: int | None,
     with_representatives: bool,
 ) -> dict:
-    """Report shared by koszul and unp.  ``caught`` records warnings as this
-    runs; those from ``betti`` are listed before those from construction."""
-    built = len(caught)
+    """Report shared by koszul and unp.  ``caught`` holds the warnings from building ``cx``."""
     truncate = _expansion_degree(truncation, cx.w, cx.r)
     table = koszul.betti(cx, with_representatives=with_representatives)
-    warnings_out = [str(item.message) for item in caught[built:] + caught[:built]]
+    warnings_out = [str(item.message) for item in caught]
     poincare = _series_report(series.from_betti(table), cx.w, cx.r, truncate)
     poincare["denominator_exponent"] = cx.top_degree
 
@@ -294,13 +293,8 @@ def run_koszul(args: argparse.Namespace) -> tuple[dict, int]:
             raise CliError(EXIT_NOT_CONTAINED, str(exc)) from exc
         except (koszul.DegenerateSubspace, koszul.DependentQuadratics, ValueError) as exc:
             raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-        report = _complex_report(
-            cx,
-            caught,
-            truncation=args.truncate,
-            max_reps=None if args.full else args.max_reps,
-            with_representatives=True,
-        )
+        max_reps = None if args.full else args.max_reps
+        report = _complex_report(cx, caught, truncation=args.truncate, max_reps=max_reps, with_representatives=True)
     report["command"] = "koszul"
     if isinstance(payload, koszul.KInvariantSubspace):
         report["hypothesis"]["bockstein_contained"] = True
@@ -315,16 +309,8 @@ def run_unp(args: argparse.Namespace) -> tuple[dict, int]:
     if n > 6:
         raise CliError(EXIT_BAD_INPUT, f"n = {n}: the complex has 2^{n + comb(n, 2)} monomials; capped at n <= 6")
     p = _prime(args.p) if args.p is not None else _least_odd_prime_above(comb(n, 2) + 1)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cx = koszul.unp_complex(n, p)
-        report = _complex_report(
-            cx,
-            caught,
-            truncation=args.truncate,
-            max_reps=None,
-            with_representatives=False,
-        )
+    cx = koszul.unp_complex(n, p)
+    report = _complex_report(cx, [], truncation=args.truncate, max_reps=None, with_representatives=False)
     oracle = younghook.unp_betti(n)
     per_degree = []
     all_agree = True
@@ -370,7 +356,7 @@ def run_group(args: argparse.Namespace) -> tuple[dict, int]:
         result = group.verify(
             mode=args.mode, budget=args.budget, triples=args.triples, seed=args.seed
         )
-    except pgroups.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         raise CliError(EXIT_BUDGET, f"{exc} (retry with --mode sampled)") from exc
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
@@ -428,7 +414,7 @@ def run_bockstein(args: argparse.Namespace) -> tuple[dict, int]:
             )
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-    except pgroups.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         raise CliError(EXIT_BUDGET, f"{exc} (lower --max-degree)") from exc
     report = {
         "command": "bockstein",
@@ -741,6 +727,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except MemoryError as exc:
         print(f"error: out of memory ({str(exc) or 'allocation failed'}); try a smaller input", file=sys.stderr)
         return EXIT_BUDGET

@@ -23,6 +23,7 @@ __all__ = [
     "Prime",
     "FpMatrix",
     "BoundaryNotCycle",
+    "BudgetExceeded",
     "rank",
     "kernel_basis",
     "quotient_representatives",
@@ -31,10 +32,15 @@ __all__ = [
 ]
 
 _MODULUS_CAP = 1 << 31
+BLOCK_CAP = 1 << 28  # bytes (256 MiB) that ``check_block`` lets one dense block need
 
 
 class BoundaryNotCycle(ValueError):
     """A claimed boundary vector lies outside the span of the cycles."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A computation was refused before it started: it would exceed a fixed size cap."""
 
 
 def _is_prime(n: int) -> bool:
@@ -244,6 +250,25 @@ def solve(m: FpMatrix, b) -> np.ndarray | None:
     for k, c in enumerate(piv):
         x[c] = R[k, m.cols]
     return x
+
+
+def check_block(rows: int, cols: int, where: str) -> int:
+    """Refuse an R x C block, before anything is allocated for it, with
+    BudgetExceeded naming ``where`` when 8 (5RC + 7C^2) > BLOCK_CAP; returns it.
+
+    That bounds the bytes of int64 arrays held at once while the block is
+    eliminated with representatives (the ranks-only path holds less).  With
+    K = dim ker <= C and B <= K incoming boundaries (B x C): the block and its
+    ``FpMatrix`` copy take 2RC; ``_echelon`` adds its copy and up to 3RC of
+    ``_update`` temporaries (gathered rows, f * row, their difference).  Then
+    the block, its R x rank image columns, the kernel basis (KC), the
+    boundaries and their RREF (2BC), ``_reduce_rows``' copy of the basis (KC),
+    the representatives ((K - B)C) and 3KC of temporaries fit in 2RC + 7C^2.
+    """
+    need = 8 * (5 * rows * cols + 7 * cols * cols)
+    if need > BLOCK_CAP:
+        raise BudgetExceeded(f"{where}: a dense {rows} x {cols} block needs up to {need} bytes; capped at {BLOCK_CAP}")
+    return need
 
 
 def _reduce_rows(w: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

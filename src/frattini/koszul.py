@@ -44,7 +44,7 @@ from operator import sub
 import numpy as np
 
 from . import fplin
-from .extalg import Ambient, AmbientMismatch, ExtElement, QuadraticForm, _basis_bits, _merge_sign
+from .extalg import Ambient, AmbientMismatch, ExtElement, QuadraticForm, _basis_bits
 from .fplin import FpMatrix, Prime, as_prime
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 HARD_SIZE_LIMIT = 22
-WARN_SIZE_LIMIT = 16
 
 
 class BocksteinNotContained(ValueError):
@@ -125,9 +124,9 @@ class KoszulComplex:
 
     Quadratics are rejected when linearly dependent unless force=True, in
     which case homology is still computed but the usual degree-1 dimension
-    guarantee is off.  Sizes are capped at w + r <= 22; ``betti`` warns above
-    16 when it computes representatives, as the degree bases reach C(w+r, d)
-    keys.
+    guarantee is off.  w + r <= HARD_SIZE_LIMIT bounds the keys of one degree
+    (C(22, 11) = 705,432 tuples from ``_basis_bits``), which the dense-block
+    guard ``fplin.check_block`` in ``betti`` does not.
     """
 
     __slots__ = ("w", "r", "p", "quadratics", "quadratics_independent", "ambient")
@@ -140,9 +139,7 @@ class KoszulComplex:
         if self.w < 0:
             raise ValueError("w must be nonnegative")
         if self.w + self.r > HARD_SIZE_LIMIT:
-            raise ValueError(
-                f"w + r = {self.w + self.r} exceeds the hard limit {HARD_SIZE_LIMIT}"
-            )
+            raise ValueError(f"w + r = {self.w + self.r} exceeds the hard limit {HARD_SIZE_LIMIT}")
         self.ambient = Ambient(self.w, self.r, self.p)
         self.quadratics = tuple(self._embed(q) for q in quads)
         self.quadratics_independent = self._independent()
@@ -225,9 +222,7 @@ def canonicalize(k: KInvariantSubspace, *, force: bool = False) -> KoszulComplex
 def _diff_term(c: KoszulComplex, e_bits: int, x_bits: int) -> dict[tuple[int, int], int]:
     """Differential of a single monomial as a term map (not reduced mod p)."""
     out: dict[tuple[int, int], int] = {}
-    w = c.w
     e_deg = e_bits.bit_count()
-    comb_right_base = e_bits  # e-part of the right factor's combined mask
     m = x_bits
     pos = 1
     while m:
@@ -235,11 +230,11 @@ def _diff_term(c: KoszulComplex, e_bits: int, x_bits: int) -> dict[tuple[int, in
         t = low.bit_length()
         lead = -1 if (e_deg + pos - 1) & 1 else 1
         rem_x = x_bits ^ low
-        comb_right = comb_right_base | (rem_x << w)
         for (qe, _), qc in c.quadratics[t - 1]._terms.items():
             if qe & e_bits:
                 continue
-            s = _merge_sign(qe, comb_right)
+            # sorting e_a e_b (a < b) into e_S x_T passes the bits of S strictly between a and b
+            s = -1 if (e_bits & (qe - 2 * (qe & -qe))).bit_count() & 1 else 1
             k = (qe | e_bits, rem_x)
             out[k] = out.get(k, 0) + lead * s * qc
         m ^= low
@@ -264,6 +259,8 @@ def _block_matrix(c: KoszulComplex, dom, cod) -> FpMatrix:
     ``cod`` must hold every key that d reaches from ``dom``: one grade of
     degree d + 1 does for the same grade of degree d.
     """
+    if dom:
+        fplin.check_block(len(cod), len(dom), f"degree {dom[0][0].bit_count() + dom[0][1].bit_count()}")
     index = {key: i for i, key in enumerate(cod)}
     a = np.zeros((len(cod), len(dom)), dtype=np.int64)
     for j, (eb, xb) in enumerate(dom):
@@ -481,18 +478,12 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     incoming boundaries (the pivot columns of the previous degree's block), as
     ``fplin.quotient_representatives`` does, and the representatives are
     merged in the canonical order of their source cycle's free column, the
-    order one full-degree matrix would give.  Above
-    w + r = WARN_SIZE_LIMIT this warns, as matrix sides reach C(w+r, d).
-    ``workers`` is accepted for compatibility and ignored: degrees always run
-    serially.
+    order one full-degree matrix would give.  A block over ``fplin.BLOCK_CAP``
+    raises ``fplin.BudgetExceeded`` before it is built, naming its degree and
+    shape (``fplin.check_block``).  ``workers`` is accepted for compatibility
+    and ignored: degrees always run serially.
     """
     top = c.top_degree
-    if with_representatives and top > WARN_SIZE_LIMIT:
-        warnings.warn(
-            f"w + r = {top}: matrix sides reach C({top}, d); expect long runtimes",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     pairs = _monomial_pairs(c)
     if not with_representatives and pairs is not None and sorted(pairs) == list(combinations(range(c.w), 2)):
         ranks = _orbit_ranks(c, pairs)

@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from . import fplin
-from .fplin import FpMatrix, Prime, as_prime
+from .fplin import BudgetExceeded, FpMatrix, Prime, as_prime
 
 __all__ = [
     "TwoStepLieAlgebra",
@@ -49,7 +49,6 @@ __all__ = [
     "PGroup",
     "VerificationReport",
     "ConstraintViolation",
-    "BudgetExceeded",
     "free_two_step",
     "unp_group",
 ]
@@ -92,10 +91,6 @@ def _check_bracket_bound(terms: int, p: int) -> None:
 
 class ConstraintViolation(ValueError):
     """Element coordinates do not reduce into the constraint subspace."""
-
-
-class BudgetExceeded(RuntimeError):
-    """An exhaustive operation was requested beyond the configured budget."""
 
 
 @dataclass(frozen=True)

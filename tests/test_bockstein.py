@@ -18,7 +18,7 @@ from frattini.bocksteindga import (
     verify_differential,
 )
 from frattini.extalg import AmbientMismatch
-from frattini.pgroups import BudgetExceeded
+from frattini.fplin import BudgetExceeded
 from helpers import reference_beta_term, reference_square_violations
 
 G = Generators(3, 5)

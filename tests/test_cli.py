@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -639,24 +640,31 @@ def test_bockstein_sweep_past_recursion_depth():
         }
 
 
-def test_size_warning_reported_by_koszul_not_unp(monkeypatch):
-    monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
-    code, report = invoke_json(["koszul", "-w", "3", "-p", "5", "-q", "e1^e2"])
-    assert code == EXIT_OK
-    assert "w + r = 4: matrix sides reach C(4, d); expect long runtimes" in report["warnings"]
-    code, report = invoke_json(["unp", "-n", "3"])
-    assert code == EXIT_OK
-    assert not any("matrix sides" in note for note in report["warnings"])
+# w + r = 22, weight-graded by its one two-term quadratic: accepted by the
+# w + r cap, yet its dense blocks reach 152,460 x 213,444 at degree 11.
+OVERSIZED_BLOCKS = ["koszul", "-w", "11", "-p", "11", "-q", "e1^e2+e3^e4"] + [
+    arg for j in range(3, 12) for arg in ("-q", f"e1^e{j}")
+] + ["-q", "e2^e3"]
 
 
-def test_size_warning_listed_before_dependent_warning(monkeypatch):
-    monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
-    code, report = invoke_json(["koszul", "-w", "3", "-p", "5", "-q", "e1^e2", "-q", "e1^e2", "--force"])
+def test_w_plus_r_17_reports_no_warning():
+    """Representatives at w + r = 17 (11 monomial quadratics, multidegree blocks)."""
+    argv = ["koszul", "-w", "6", "-p", "19"]
+    for a, b in list(combinations(range(1, 7), 2))[:11]:
+        argv += ["-q", f"e{a}^e{b}"]
+    code, report = invoke_json(argv)
     assert code == EXIT_OK
-    assert report["warnings"] == [
-        "w + r = 5: matrix sides reach C(5, d); expect long runtimes",
-        "dependent quadratics: computing homology without the b_1 = w guarantee",
-    ]
+    assert report["w"] + report["r"] == 17
+    assert report["warnings"] == []
+
+
+def test_oversized_block_refused_with_exit_4_naming_it():
+    start = time.perf_counter()
+    code, out, err = invoke(OVERSIZED_BLOCKS)
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err == "error: degree 4: a dense 3630 x 3025 block needs up to 951665000 bytes; capped at 268435456\n"
 
 
 def test_crosscheck_n_max_7_exits_3():

@@ -2,7 +2,9 @@ import random
 import time
 import tracemalloc
 import warnings
+from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from frattini import (
     unp_complex,
 )
 from frattini import fplin, koszul
-from frattini.extalg import ExtElement, _basis_bits
+from frattini.extalg import ExtElement, _basis_bits, _merge_sign
 from frattini.younghook import unp_betti
 
 from helpers import (
@@ -399,15 +401,81 @@ def test_representatives_memory():
     assert [len(reps) for reps in table.representatives] == list(table.dims)
 
 
-def test_size_warning_only_with_representatives(monkeypatch):
-    monkeypatch.setattr(koszul, "WARN_SIZE_LIMIT", 3)
-    c = unp_complex(3, 7)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        betti(c, with_representatives=False)
-    assert not caught
-    with pytest.warns(RuntimeWarning, match=r"w \+ r = 6: matrix sides reach C\(6, d\)"):
-        betti(c)
+def test_diff_term_sign_is_one_bit_count():
+    """The sign of q = e_a e_b against e_S x_rem is the parity of the e's of S
+    strictly between a and b: the merge sign, x bits lying above every e bit."""
+    w, p = 7, 5
+    amb = Ambient(w, 0, p)
+    for a, b in combinations(range(w), 2):
+        qe = 1 << a | 1 << b
+        other = next(m for m in (0b11, 0b101) if m != qe)
+        c = KoszulComplex(w, p, [ExtElement(amb, {(qe, 0): 1}), ExtElement(amb, {(other, 0): 1})])
+        for s in range(1 << w):
+            if s & qe:
+                continue
+            lead = -1 if s.bit_count() & 1 else 1  # x_1 is the first factor of x_1 x_2
+            got = koszul._diff_term(c, s, 0b11)[(qe | s, 0b10)]
+            assert got == lead * _merge_sign(qe, s | 0b10 << w), (a, b, s)
+
+
+def generic_complex(w, r, p, seed):
+    rng = random.Random(seed)
+    while True:
+        try:
+            return KoszulComplex(w, p, [random_quadratic(rng, w, p) for _ in range(r)])
+        except DependentQuadratics:
+            continue
+
+
+def test_block_guard_refuses_one_byte_over_the_cap_before_allocating(monkeypatch):
+    c = generic_complex(4, 3, 7, 43)
+    grade = koszul._grading(c)
+    dom, cod = koszul._graded_basis(c, 3, grade), koszul._graded_basis(c, 4, grade)
+    g = max(dom, key=lambda g: len(dom[g]) * len(cod.get(g, ())))
+    keys, rows = dom[g], cod[g]
+    need = fplin.check_block(len(rows), len(keys), "probe")
+    monkeypatch.setattr(fplin, "BLOCK_CAP", need)
+    assert koszul._block_matrix(c, keys, rows).entries.shape == (len(rows), len(keys))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("block allocated before the guard")
+
+    monkeypatch.setattr(fplin, "BLOCK_CAP", need - 1)
+    monkeypatch.setattr(koszul, "np", SimpleNamespace(zeros=refuse))
+    with pytest.raises(fplin.BudgetExceeded, match=f"^degree 3: a dense {len(rows)} x {len(keys)} block needs up to {need} bytes; capped at {need - 1}$"):
+        koszul._block_matrix(c, keys, rows)
+
+
+def test_block_estimate_bounds_the_elimination_peak():
+    """Each block is eliminated with representatives as ``betti`` does, its
+    incoming boundaries already held; tracemalloc's peak stays within the
+    estimate for blocks of at least 20,000 cells with R < C, R > C and R = 0."""
+    c = generic_complex(5, 8, 13, 58)
+    grade = koszul._grading(c)
+    seen, incoming = {}, {}
+    cod = koszul._graded_basis(c, 0, grade)
+    for d in range(c.top_degree + 1):
+        dom, cod = cod, koszul._graded_basis(c, d + 1, grade)
+        outgoing = {}
+        for g, keys in dom.items():
+            rows = cod.get(g, ())
+            shape = "R = 0" if not rows else "R < C" if len(rows) < len(keys) else "R > C"
+            tracemalloc.start()
+            try:
+                bnd = incoming.get(g, np.zeros((0, len(keys)), dtype=np.int64)).copy()
+                tracemalloc.reset_peak()
+                m = koszul._block_matrix(c, keys, rows)
+                ker, free, piv = fplin._kernel(m)
+                outgoing[g] = m.entries[:, piv].T
+                fplin._quotient_pairs(ker, ker, free, bnd, c.p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if len(keys) * (len(rows) + len(keys)) >= 20000:  # arrays, not Python objects, dominate
+                assert peak <= fplin.check_block(len(rows), len(keys), "probe"), (d, g, len(rows), len(keys), peak)
+                seen[shape] = seen.get(shape, 0) + 1
+        incoming = outgoing
+    assert set(seen) == {"R = 0", "R < C", "R > C"}, seen
 
 
 def test_unp6_complex_emits_no_warning():

@@ -10,8 +10,8 @@ import pytest
 
 from frattini import pgroups
 from frattini.cli import EXIT_DISAGREE, main
+from frattini.fplin import BudgetExceeded
 from frattini.pgroups import (
-    BudgetExceeded,
     ConstraintViolation,
     PGroup,
     PGroupElement,
