@@ -6,7 +6,7 @@ oracle for the universal extensions, explicit p-group realizations, and a
 bigraded Bockstein model, tied together by the ``frattini`` CLI.
 """
 
-from .fplin import BoundaryNotCycle, BudgetExceeded, FpMatrix, Prime, as_prime
+from .fplin import BoundaryNotCycle, BudgetExceeded, FpMatrix, InvalidInput, Prime, as_prime
 from .extalg import Ambient, ExtElement, Monomial, ParseError, QuadraticForm, basis, parse, wedge
 from .koszul import (
     BettiTable,
@@ -69,6 +69,7 @@ __all__ = [
     "ExtElement",
     "FpMatrix",
     "Generators",
+    "InvalidInput",
     "KInvariantSubspace",
     "KoszulComplex",
     "Monomial",

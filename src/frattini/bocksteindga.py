@@ -49,7 +49,7 @@ from random import Random
 from typing import Iterator, Mapping
 
 from .extalg import _merge_sign, _TermMap
-from .fplin import BudgetExceeded, Prime, as_prime
+from .fplin import BudgetExceeded, InvalidInput, Prime, as_prime
 
 __all__ = [
     "Generators",
@@ -66,7 +66,7 @@ __all__ = [
 SWEEP_BUDGET = 10**6
 
 
-class PrimeTooSmall(ValueError):
+class PrimeTooSmall(InvalidInput):
     """The stated Bockstein formulas require p > 3."""
 
 
@@ -80,7 +80,7 @@ class Generators:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise InvalidInput("n must be at least 1")
         if not isinstance(self.p, Prime):
             object.__setattr__(self, "p", as_prime(self.p))
 
@@ -97,12 +97,12 @@ class Generators:
 
     def _single(self, i: int) -> int:
         if not 1 <= i <= self.n:
-            raise ValueError(f"index {i} out of range 1..{self.n}")
+            raise InvalidInput(f"index {i} out of range 1..{self.n}")
         return i - 1
 
     def _pair(self, i: int, j: int) -> int:
         if not 1 <= i < j <= self.n:
-            raise ValueError(f"({i}, {j}) is not a pair with 1 <= i < j <= {self.n}")
+            raise InvalidInput(f"({i}, {j}) is not a pair with 1 <= i < j <= {self.n}")
         return self.n + (i - 1) * (2 * self.n - i) // 2 + j - i - 1
 
     def _pair_of(self, g: int) -> tuple[int, int]:
@@ -359,7 +359,7 @@ def verify_differential(
     levels share one rule table, so each polynomial part's rule (b) is built
     once per sweep.
 
-    Raises ValueError for a negative max_degree, leibniz_pairs or seed, and
+    Raises InvalidInput for a negative max_degree, leibniz_pairs or seed, and
     BudgetExceeded, before building any monomial, when there are more
     than SWEEP_BUDGET of them: sum over k of C(N, k) C((d - k) // 2 + N, N)
     with N = n + C(n, 2) generators in each block and d = max_degree.
@@ -369,9 +369,9 @@ def verify_differential(
         raise PrimeTooSmall("the primary Bockstein formulas hold for p > 3")
     for name, value in (("max_degree", max_degree), ("leibniz_pairs", leibniz_pairs)):
         if value < 0:
-            raise ValueError(f"{name} = {value} must be nonnegative")
+            raise InvalidInput(f"{name} = {value} must be nonnegative")
     if seed < 0:  # Random(-s) draws the same pairs as Random(s)
-        raise ValueError(f"seed = {seed}: the seed must be non-negative")
+        raise InvalidInput(f"seed = {seed}: the seed must be non-negative")
     amb = Generators(n, p)
     count = amb.count
     total = sum(comb(count, k) * comb((max_degree - k) // 2 + count, count) for k in range(min(max_degree, count) + 1))

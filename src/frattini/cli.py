@@ -8,15 +8,19 @@ Subcommands:
     series      expand q(t) / (1 - t^2)^v and run the numerator checks
     crosscheck  Koszul-vs-oracle agreement matrix over a range of n and p
 
-Exit codes: 0 success; 1 a verification disagreed where agreement is
-guaranteed; 2 Bockstein block not contained in the input subspace; 3 invalid
-input, including group -n above GROUP_N_CAP; 4 a resource limit was hit: the
-group enumeration budget (retry with --mode sampled), the Bockstein sweep
-budget (lower --max-degree), the series expansion bound (truncate + 1)(w + r + 1)
-<= EXPANSION_CAP of series, koszul and unp (lower --truncate), a Koszul block
-over fplin.BLOCK_CAP (fplin.check_block) or the available memory (MemoryError,
-"error: out of memory"); 5 internal error (any other exception, "error:
-internal error (...)", nothing on stdout).
+Exit codes: a runner returns 0 or 1, and ``main`` chooses every other code
+once, by the type of the exception a runner raises.  0 success; 1 a
+verification disagreed where agreement is guaranteed; 2 the Bockstein block is
+not contained in the input subspace (``koszul.BocksteinNotContained``); 3
+invalid input (``fplin.InvalidInput``, from the library or from a check here),
+including group -n above GROUP_N_CAP; 4 a resource limit was hit
+(``fplin.BudgetExceeded`` or ``MemoryError``): the group enumeration budget
+(retry with --mode sampled), the Bockstein sweep budget (lower --max-degree),
+the series expansion bound (truncate + 1)(w + r + 1) <= EXPANSION_CAP of
+series, koszul and unp (lower --truncate), a Koszul block over fplin.BLOCK_CAP
+(fplin.check_block) or the available memory ("error: out of memory"); 5
+internal error (any other exception, a ``ValueError`` that is not
+``InvalidInput`` included: "error: internal error (...)", nothing on stdout).
 
 Machine-readable output (--format json) is byte-identical for identical
 arguments and seed.  The only environment variable consulted is NO_COLOR.
@@ -34,7 +38,7 @@ from typing import Any
 
 from . import bocksteindga, koszul, pgroups, series, younghook
 from .extalg import Ambient, ExtElement, ParseError, QuadraticForm, parse
-from .fplin import BudgetExceeded, Prime, as_prime
+from .fplin import BudgetExceeded, InvalidInput, Prime, as_prime
 
 __all__ = [
     "main",
@@ -67,21 +71,6 @@ GROUP_N_CAP = 20
 EXPANSION_CAP = 10 ** 6
 
 
-class CliError(Exception):
-    """Failure with a designated exit code; message goes to stderr."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _prime(value) -> Prime:
-    try:
-        return as_prime(value)
-    except (ValueError, TypeError) as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-
-
 def _least_odd_prime_above(bound: int) -> Prime:
     candidate = max(3, bound + 1)
     if candidate % 2 == 0:
@@ -89,7 +78,7 @@ def _least_odd_prime_above(bound: int) -> Prime:
     while True:
         try:
             return as_prime(candidate)
-        except ValueError:
+        except InvalidInput:
             candidate += 2
 
 
@@ -98,20 +87,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _quadratic_from_triples(triples, w: int, p: Prime) -> ExtElement:
-    try:
-        amb = Ambient(w, 0, p)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+def _quadratic_from_triples(triples, amb: Ambient) -> ExtElement:
     terms: dict[tuple[int, int], int] = {}
     for entry in triples:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise CliError(EXIT_BAD_INPUT, f"quadratic entry {entry!r} is not an [i, j, coeff] triple")
+            raise InvalidInput(f"quadratic entry {entry!r} is not an [i, j, coeff] triple")
         i, j, c = entry
         if not all(map(_is_int, entry)):
-            raise CliError(EXIT_BAD_INPUT, f"quadratic entry {entry!r} must hold integers")
-        if not 1 <= i < j <= w:
-            raise CliError(EXIT_BAD_INPUT, f"pair ({i}, {j}) needs 1 <= i < j <= w = {w}")
+            raise InvalidInput(f"quadratic entry {entry!r} must hold integers")
+        if not 1 <= i < j <= amb.w:
+            raise InvalidInput(f"pair ({i}, {j}) needs 1 <= i < j <= w = {amb.w}")
         key = ((1 << (i - 1)) | (1 << (j - 1)), 0)
         terms[key] = terms.get(key, 0) + c
     return ExtElement(amb, terms)
@@ -122,75 +107,67 @@ def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
     path = args.input
     if path is not None:
         if args.quadratic or args.w is not None or args.p is not None:
-            raise CliError(EXIT_BAD_INPUT, "give either an input file or inline -w/-p/--quadratic, not both")
+            raise InvalidInput("give either an input file or inline -w/-p/--quadratic, not both")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise CliError(EXIT_BAD_INPUT, f"cannot read {path}: {exc}") from exc
+            raise InvalidInput(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise CliError(EXIT_BAD_INPUT, f"{path} is not valid JSON: {exc}") from exc
+            raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise CliError(EXIT_BAD_INPUT, "input file must hold a JSON object")
+            raise InvalidInput("input file must hold a JSON object")
         missing = {"p", "w"} - data.keys()
         if missing:
-            raise CliError(EXIT_BAD_INPUT, f"input file lacks required field(s): {', '.join(sorted(missing))}")
+            raise InvalidInput(f"input file lacks required field(s): {', '.join(sorted(missing))}")
         w = data["w"]
         if not _is_int(w) or w < 0:
-            raise CliError(EXIT_BAD_INPUT, "field 'w' must be a nonnegative integer")
+            raise InvalidInput("field 'w' must be a nonnegative integer")
         if not _is_int(data["p"]):
-            raise CliError(EXIT_BAD_INPUT, "field 'p' must be an integer")
-        p = _prime(data["p"])
+            raise InvalidInput("field 'p' must be an integer")
+        amb = Ambient(w, 0, as_prime(data["p"]))
         has_q = "quadratics" in data
         has_k = "k_basis" in data
         if has_q == has_k:
-            raise CliError(EXIT_BAD_INPUT, "input file needs exactly one of 'quadratics' or 'k_basis'")
+            raise InvalidInput("input file needs exactly one of 'quadratics' or 'k_basis'")
         if has_q:
             if not isinstance(data["quadratics"], list):
-                raise CliError(EXIT_BAD_INPUT, "'quadratics' must be a list")
-            quads = [_quadratic_from_triples(q, w, p) for q in data["quadratics"]]
-            return w, p, quads
+                raise InvalidInput("'quadratics' must be a list")
+            quads = [_quadratic_from_triples(q, amb) for q in data["quadratics"]]
+            return w, amb.p, quads
         if not isinstance(data["k_basis"], list):
-            raise CliError(EXIT_BAD_INPUT, "'k_basis' must be a list")
+            raise InvalidInput("'k_basis' must be a list")
         entries = []
         for obj in data["k_basis"]:
             if not (isinstance(obj, dict) and "b" in obj and "q" in obj):
-                raise CliError(EXIT_BAD_INPUT, "each k_basis entry must be an object with 'b' and 'q'")
+                raise InvalidInput("each k_basis entry must be an object with 'b' and 'q'")
             bvec = obj["b"]
             if not (isinstance(bvec, list) and len(bvec) == w and all(map(_is_int, bvec))):
-                raise CliError(EXIT_BAD_INPUT, f"'b' must be a list of {w} integers")
-            quad = _quadratic_from_triples(obj["q"], w, p)
+                raise InvalidInput(f"'b' must be a list of {w} integers")
+            quad = _quadratic_from_triples(obj["q"], amb)
             entries.append((tuple(bvec), quad))
-        try:
-            k = koszul.KInvariantSubspace(w, p, tuple(entries))
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
-        return w, p, k
+        return w, amb.p, koszul.KInvariantSubspace(w, amb.p, tuple(entries))
 
     w, p = args.w, args.p
     exprs = args.quadratic or []
     if w is None or p is None:
-        raise CliError(EXIT_BAD_INPUT, "inline mode needs -w and -p (or pass an input file)")
-    p = _prime(p)
-    try:
-        amb = Ambient(w, 0, p)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+        raise InvalidInput("inline mode needs -w and -p (or pass an input file)")
+    amb = Ambient(w, 0, as_prime(p))
     quads = []
     for text in exprs:
         try:
             quads.append(QuadraticForm.from_element(parse(text, amb)))
         except ParseError as exc:
-            raise CliError(EXIT_BAD_INPUT, f"cannot parse quadratic {text!r}: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_INPUT, f"{text!r} is not a quadratic form: {exc}") from exc
-    return w, p, quads
+            raise InvalidInput(f"cannot parse quadratic {text!r}: {exc}") from exc
+        except InvalidInput as exc:
+            raise InvalidInput(f"{text!r} is not a quadratic form: {exc}") from exc
+    return w, amb.p, quads
 
 
 def _check_truncation(truncation: int | None) -> None:
     """Refuse a negative ``--truncate``; each runner calls this before computing."""
     if truncation is not None and truncation < 0:
-        raise CliError(EXIT_BAD_INPUT, "truncation degree must be nonnegative")
+        raise InvalidInput("truncation degree must be nonnegative")
 
 
 def _expansion_degree(truncation: int | None, w: int, r: int) -> int:
@@ -199,8 +176,7 @@ def _expansion_degree(truncation: int | None, w: int, r: int) -> int:
     truncate = 2 * (w + r) if truncation is None else truncation
     steps = (truncate + 1) * (w + r + 1)
     if steps > EXPANSION_CAP:
-        raise CliError(
-            EXIT_BUDGET,
+        raise BudgetExceeded(
             f"expanding through degree {truncate} with w + r = {w + r} takes"
             f" (truncate + 1)(w + r + 1) = {steps} steps; capped at {EXPANSION_CAP} (lower --truncate)",
         )
@@ -264,35 +240,23 @@ def _complex_report(
         "warnings": warnings_out,
     }
     if with_representatives:
-        reps = []
-        truncated = False
-        for d in range(cx.top_degree + 1):
-            names = [str(rep) for rep in table.representatives[d]]
-            if max_reps is not None and len(names) > max_reps:
-                names = names[:max_reps]
-                truncated = True
-            reps.append(names)
-        report["representatives"] = reps
-        report["representatives_truncated"] = truncated
+        reps = table.representatives
+        report["representatives"] = [[str(rep) for rep in row[:max_reps]] for row in reps]
+        report["representatives_truncated"] = max_reps is not None and any(len(row) > max_reps for row in reps)
     return report
 
 
 def run_koszul(args: argparse.Namespace) -> tuple[dict, int]:
     if args.max_reps < 0:
-        raise CliError(EXIT_BAD_INPUT, "--max-reps must be nonnegative")
+        raise InvalidInput("--max-reps must be nonnegative")
     _check_truncation(args.truncate)
     w, p, payload = _load_koszul_input(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            if isinstance(payload, koszul.KInvariantSubspace):
-                cx = koszul.canonicalize(payload, force=args.force)
-            else:
-                cx = koszul.KoszulComplex(w, p, payload, force=args.force)
-        except koszul.BocksteinNotContained as exc:
-            raise CliError(EXIT_NOT_CONTAINED, str(exc)) from exc
-        except (koszul.DegenerateSubspace, koszul.DependentQuadratics, ValueError) as exc:
-            raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+        if isinstance(payload, koszul.KInvariantSubspace):
+            cx = koszul.canonicalize(payload)
+        else:
+            cx = koszul.KoszulComplex(w, p, payload, force=args.force)
         max_reps = None if args.full else args.max_reps
         report = _complex_report(cx, caught, truncation=args.truncate, max_reps=max_reps, with_representatives=True)
     report["command"] = "koszul"
@@ -305,10 +269,10 @@ def run_unp(args: argparse.Namespace) -> tuple[dict, int]:
     _check_truncation(args.truncate)
     n = args.n
     if n < 1:
-        raise CliError(EXIT_BAD_INPUT, "n must be at least 1")
+        raise InvalidInput("n must be at least 1")
     if n > 6:
-        raise CliError(EXIT_BAD_INPUT, f"n = {n}: the complex has 2^{n + comb(n, 2)} monomials; capped at n <= 6")
-    p = _prime(args.p) if args.p is not None else _least_odd_prime_above(comb(n, 2) + 1)
+        raise InvalidInput(f"n = {n}: the complex has 2^{n + comb(n, 2)} monomials; capped at n <= 6")
+    p = as_prime(args.p) if args.p is not None else _least_odd_prime_above(comb(n, 2) + 1)
     cx = koszul.unp_complex(n, p)
     report = _complex_report(cx, [], truncation=args.truncate, max_reps=None, with_representatives=False)
     oracle = younghook.unp_betti(n)
@@ -336,30 +300,24 @@ def run_unp(args: argparse.Namespace) -> tuple[dict, int]:
 def run_group(args: argparse.Namespace) -> tuple[dict, int]:
     n = args.n
     if n < 1:
-        raise CliError(EXIT_BAD_INPUT, "n must be at least 1")
+        raise InvalidInput("n must be at least 1")
     if n > GROUP_N_CAP:
-        raise CliError(
-            EXIT_BAD_INPUT,
+        raise InvalidInput(
             f"n = {n}: each group product takes one round of array operations per"
             f" bracket coordinate, {comb(n, 2)} of them; both groups are capped at n <= {GROUP_N_CAP}",
         )
-    p = _prime(args.p)
+    p = as_prime(args.p)
     which = args.group
-    try:
-        if which == "u":
-            group = pgroups.unp_group(n, p)
-        else:
-            group = pgroups.PGroup(pgroups.free_two_step(n), p)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+    if which == "u":
+        group = pgroups.unp_group(n, p)
+    else:
+        group = pgroups.PGroup(pgroups.free_two_step(n), p)
     try:
         result = group.verify(
             mode=args.mode, budget=args.budget, triples=args.triples, seed=args.seed
         )
     except BudgetExceeded as exc:
-        raise CliError(EXIT_BUDGET, f"{exc} (retry with --mode sampled)") from exc
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+        raise BudgetExceeded(f"{exc} (retry with --mode sampled)") from exc
     report = {
         "command": "group",
         "n": n,
@@ -389,33 +347,31 @@ def run_group(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_bockstein(args: argparse.Namespace) -> tuple[dict, int]:
     n, max_degree = args.n, args.max_degree
-    p = _prime(args.p)
+    p = as_prime(args.p)
+    gens = bocksteindga.Generators(n, p)
+    # The sweep refuses an over-budget input before any image is listed.
     try:
-        gens = bocksteindga.Generators(n, p)
-        # The sweep refuses an over-budget input before any image is listed.
         result = bocksteindga.verify_differential(n, p, max_degree, leibniz_pairs=args.pairs, seed=args.seed)
-        formulas = []
-        for i in range(1, n + 1):
-            formulas.append({"generator": f"x{i}", "image": str(bocksteindga.bockstein(gens.x(i)))})
-        for i, j in gens.pairs:
-            formulas.append(
-                {"generator": f"x({i},{j})", "image": str(bocksteindga.bockstein(gens.x_pair(i, j)))}
-            )
-        for i in range(1, n + 1):
-            formulas.append({"generator": f"z{i}", "image": str(bocksteindga.bockstein(gens.zeta(i)))})
-        for i, j in gens.pairs:
-            img = bocksteindga.bockstein(gens.zeta_pair(i, j))
-            formulas.append(
-                {
-                    "generator": f"z({i},{j})",
-                    "image": str(img),
-                    "restricted_image": str(bocksteindga.restrict_to_unp(img)),
-                }
-            )
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
     except BudgetExceeded as exc:
-        raise CliError(EXIT_BUDGET, f"{exc} (lower --max-degree)") from exc
+        raise BudgetExceeded(f"{exc} (lower --max-degree)") from exc
+    formulas = []
+    for i in range(1, n + 1):
+        formulas.append({"generator": f"x{i}", "image": str(bocksteindga.bockstein(gens.x(i)))})
+    for i, j in gens.pairs:
+        formulas.append(
+            {"generator": f"x({i},{j})", "image": str(bocksteindga.bockstein(gens.x_pair(i, j)))}
+        )
+    for i in range(1, n + 1):
+        formulas.append({"generator": f"z{i}", "image": str(bocksteindga.bockstein(gens.zeta(i)))})
+    for i, j in gens.pairs:
+        img = bocksteindga.bockstein(gens.zeta_pair(i, j))
+        formulas.append(
+            {
+                "generator": f"z({i},{j})",
+                "image": str(img),
+                "restricted_image": str(bocksteindga.restrict_to_unp(img)),
+            }
+        )
     report = {
         "command": "bockstein",
         "n": n,
@@ -438,11 +394,8 @@ def run_series(args: argparse.Namespace) -> tuple[dict, int]:
     numerator = _int_list(args.numerator, "numerator")
     w, r = args.w, args.r
     if w < 0 or r < 0:
-        raise CliError(EXIT_BAD_INPUT, "w and r must be nonnegative")
-    try:
-        q = series.PoincarePolynomial(tuple(numerator))
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, str(exc)) from exc
+        raise InvalidInput("w and r must be nonnegative")
+    q = series.PoincarePolynomial(tuple(numerator))
     _check_truncation(args.truncate)
     truncate = _expansion_degree(args.truncate, w, r)
     report = {"command": "series", "w": w, "r": r, **_series_report(q, w, r, truncate)}
@@ -453,10 +406,10 @@ def run_crosscheck(args: argparse.Namespace) -> tuple[dict, int]:
     given = _int_list(args.primes, "primes")
     n_max = args.n_max
     if not 1 <= n_max <= 6:
-        raise CliError(EXIT_BAD_INPUT, "n_max must be between 1 and 6 (the complex has 2^(n + C(n,2)) monomials)")
-    primes = [(_prime(p)) for p in given]
+        raise InvalidInput("n_max must be between 1 and 6 (the complex has 2^(n + C(n,2)) monomials)")
+    primes = [as_prime(p) for p in given]
     if not primes:
-        raise CliError(EXIT_BAD_INPUT, "need at least one prime")
+        raise InvalidInput("need at least one prime")
     oracles = {n: younghook.unp_betti(n) for n in range(1, n_max + 1)}
 
     def cell(n, p):
@@ -627,7 +580,7 @@ def _int_list(text: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise CliError(EXIT_BAD_INPUT, f"cannot parse {what} {text!r}: expected comma-separated integers") from exc
+        raise InvalidInput(f"cannot parse {what} {text!r}: expected comma-separated integers") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -724,9 +677,12 @@ def main(argv=None) -> int:
     try:
         report, code = _RUNNERS[args.command](args)
         text = _render(report, args.format)
-    except CliError as exc:
+    except koszul.BocksteinNotContained as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_NOT_CONTAINED
+    except InvalidInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

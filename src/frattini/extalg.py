@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .fplin import Prime, as_prime
+from .fplin import InvalidInput, Prime, as_prime
 
 __all__ = [
     "Ambient",
@@ -38,7 +38,7 @@ class AmbientMismatch(ValueError):
     """Operands live over different ambients."""
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     """Element text violates the grammar; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -46,7 +46,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class IndexOutOfRange(ValueError):
+class IndexOutOfRange(InvalidInput):
     """A generator index falls outside the ambient's e or x range."""
 
 
@@ -60,9 +60,9 @@ class Ambient:
 
     def __post_init__(self):
         if self.w < 0 or self.r < 0:
-            raise ValueError("generator counts must be nonnegative")
+            raise InvalidInput("generator counts must be nonnegative")
         if self.w + self.r > MAX_GENERATOR_BITS:
-            raise ValueError(
+            raise InvalidInput(
                 f"w + r = {self.w + self.r} exceeds the {MAX_GENERATOR_BITS}-bit monomial encoding"
             )
         if not isinstance(self.p, Prime):
@@ -307,7 +307,7 @@ class QuadraticForm(ExtElement):
         super().__init__(ambient, terms)
         for eb, xb in self._terms:
             if xb or eb.bit_count() != 2:
-                raise ValueError(
+                raise InvalidInput(
                     f"term {Monomial.from_bits(eb, xb)} is not quadratic in the e-variables"
                 )
 

@@ -24,6 +24,7 @@ __all__ = [
     "FpMatrix",
     "BoundaryNotCycle",
     "BudgetExceeded",
+    "InvalidInput",
     "rank",
     "kernel_basis",
     "quotient_representatives",
@@ -41,6 +42,10 @@ class BoundaryNotCycle(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A computation was refused before it started: it would exceed a fixed size cap."""
+
+
+class InvalidInput(ValueError):
+    """A caller's argument is refused: out of range, malformed or unsupported."""
 
 
 def _is_prime(n: int) -> bool:
@@ -73,9 +78,9 @@ class Prime(int):
     def __new__(cls, value: int) -> "Prime":
         v = int(value)
         if v >= _MODULUS_CAP:
-            raise ValueError(f"modulus {v} exceeds the 2**31 cap")
+            raise InvalidInput(f"modulus {v} exceeds the 2**31 cap")
         if v < 3 or v % 2 == 0 or not _is_prime(v):
-            raise ValueError(f"{v} is not an odd prime")
+            raise InvalidInput(f"{v} is not an odd prime")
         return super().__new__(cls, v)
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import fplin
 from .extalg import Ambient, AmbientMismatch, ExtElement, QuadraticForm, _basis_bits
-from .fplin import FpMatrix, Prime, as_prime
+from .fplin import FpMatrix, InvalidInput, Prime, as_prime
 
 __all__ = [
     "KInvariantSubspace",
@@ -75,11 +75,11 @@ class BocksteinNotContained(ValueError):
         self.corank = corank
 
 
-class DegenerateSubspace(ValueError):
+class DegenerateSubspace(InvalidInput):
     """The given basis vectors are linearly dependent."""
 
 
-class DependentQuadratics(ValueError):
+class DependentQuadratics(InvalidInput):
     """The quadratics are linearly dependent (pass force=True to proceed)."""
 
 
@@ -107,7 +107,7 @@ class KInvariantSubspace:
         for bvec, quad in self.basis:
             bvec = tuple(int(c) % self.p for c in bvec)
             if len(bvec) != self.w:
-                raise ValueError(f"Bockstein part has length {len(bvec)}, expected {self.w}")
+                raise InvalidInput(f"Bockstein part has length {len(bvec)}, expected {self.w}")
             if quad.ambient.w != self.w or quad.ambient.p != self.p:
                 raise AmbientMismatch("quadratic part lives over the wrong ambient")
             QuadraticForm.from_element(quad)
@@ -137,9 +137,9 @@ class KoszulComplex:
         quads = tuple(quadratics)
         self.r = len(quads)
         if self.w < 0:
-            raise ValueError("w must be nonnegative")
+            raise InvalidInput("w must be nonnegative")
         if self.w + self.r > HARD_SIZE_LIMIT:
-            raise ValueError(f"w + r = {self.w + self.r} exceeds the hard limit {HARD_SIZE_LIMIT}")
+            raise InvalidInput(f"w + r = {self.w + self.r} exceeds the hard limit {HARD_SIZE_LIMIT}")
         self.ambient = Ambient(self.w, self.r, self.p)
         self.quadratics = tuple(self._embed(q) for q in quads)
         self.quadratics_independent = self._independent()
@@ -185,7 +185,7 @@ class KoszulComplex:
         return f"KoszulComplex(w={self.w}, r={self.r}, p={int(self.p)})"
 
 
-def canonicalize(k: KInvariantSubspace, *, force: bool = False) -> KoszulComplex:
+def canonicalize(k: KInvariantSubspace) -> KoszulComplex:
     """Row-reduce a k-invariant basis into the canonical complex.
 
     Succeeds exactly when the projection onto the Bockstein block is
@@ -216,7 +216,7 @@ def canonicalize(k: KInvariantSubspace, *, force: bool = False) -> KoszulComplex
     for i in range(w, v):
         terms = {(eb, 0): int(red.entries[i, w + j]) for j, (eb, _) in enumerate(pairs)}
         quads.append(QuadraticForm(amb0, terms))
-    return KoszulComplex(w, p, quads, force=force)
+    return KoszulComplex(w, p, quads)
 
 
 def _diff_term(c: KoszulComplex, e_bits: int, x_bits: int) -> dict[tuple[int, int], int]:

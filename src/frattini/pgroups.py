@@ -41,7 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from . import fplin
-from .fplin import BudgetExceeded, FpMatrix, Prime, as_prime
+from .fplin import BudgetExceeded, FpMatrix, InvalidInput, Prime, as_prime
 
 __all__ = [
     "TwoStepLieAlgebra",
@@ -83,13 +83,13 @@ def _check_bracket_bound(terms: int, p: int) -> None:
     in one coordinate, counted by ``PGroup.__init__`` from the algebra's map.
     """
     if terms * (p - 1) ** 3 >= 1 << 63:
-        raise ValueError(
+        raise InvalidInput(
             f"{terms} bracket pairs in one coordinate times (p - 1)^3"
             f" reach 2^63 at p = {p}; the bracket contraction would overflow int64"
         )
 
 
-class ConstraintViolation(ValueError):
+class ConstraintViolation(InvalidInput):
     """Element coordinates do not reduce into the constraint subspace."""
 
 
@@ -112,23 +112,23 @@ class TwoStepLieAlgebra:
     def __post_init__(self):
         n = self.gen_count
         if n < 1:
-            raise ValueError(f"gen_count = {n}: an algebra needs at least one generator")
+            raise InvalidInput(f"gen_count = {n}: an algebra needs at least one generator")
         central = frozenset(self.central)
         object.__setattr__(self, "central", central)
         if not all(0 <= k < n for k in central):
-            raise ValueError(f"central indices must lie in range({n})")
+            raise InvalidInput(f"central indices must lie in range({n})")
         entries = []
         for (i, j), vec in dict(self.bracket).items():
             i, j = int(i), int(j)
             if not 0 <= i < j < n:
-                raise ValueError(f"bracket key ({i}, {j}) needs 0 <= i < j < {n}")
+                raise InvalidInput(f"bracket key ({i}, {j}) needs 0 <= i < j < {n}")
             vec = tuple(sorted((int(k), int(c)) for k, c in dict(vec).items() if c))
             if not vec:
                 continue
             if i in central or j in central:
-                raise ValueError(f"central generator occurs in a nonzero bracket ({i}, {j})")
+                raise InvalidInput(f"central generator occurs in a nonzero bracket ({i}, {j})")
             if any(k not in central for k, _ in vec):
-                raise ValueError(f"[b_{i}, b_{j}] leaves the center")
+                raise InvalidInput(f"[b_{i}, b_{j}] leaves the center")
             entries.append(((i, j), vec))
         object.__setattr__(self, "bracket", tuple(sorted(entries)))
 
@@ -140,7 +140,7 @@ def free_two_step(n: int) -> TwoStepLieAlgebra:
     lexicographic order; [b_i, b_j] is the pair generator.  Dimension C(n+1, 2).
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidInput("n must be at least 1")
     pairs = combinations(range(n), 2)
     bracket = tuple(((i, j), ((n + k, 1),)) for k, (i, j) in enumerate(pairs))
     total = n + len(bracket)
@@ -214,7 +214,7 @@ class PGroup:
         self.algebra = algebra
         self.p = as_prime(p)
         if self.p > _PGROUP_PRIME_CAP:
-            raise ValueError(
+            raise InvalidInput(
                 f"p = {int(self.p)} exceeds the {_PGROUP_PRIME_CAP} cap for exact batch arithmetic"
             )
         self.q = int(self.p) ** 2
@@ -233,7 +233,7 @@ class PGroup:
         self._chunk = _CHUNK_BYTES // (8 * n)  # columns per sampled or certificate chunk
         entries = range(n) if constraint is None else list(constraint)
         if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < n for c in entries):
-            raise ValueError(f"constraint entries must be coordinate indices in range({n})")
+            raise InvalidInput(f"constraint entries must be coordinate indices in range({n})")
         self._s = np.unique(np.asarray(entries, dtype=np.int64))
         self._off = np.setdiff1d(np.arange(n), self._s)
         self.s_dim = len(self._s)
@@ -255,7 +255,7 @@ class PGroup:
     def _col(self, x: PGroupElement) -> np.ndarray:
         coords = np.asarray(x.coords, dtype=np.int64)
         if coords.shape != (self.algebra.gen_count,):
-            raise ValueError(f"expected {self.algebra.gen_count} coordinates")
+            raise InvalidInput(f"expected {self.algebra.gen_count} coordinates")
         return _mod(coords, self.q).reshape(-1, 1)
 
     def element(self, coords) -> PGroupElement:
@@ -404,7 +404,7 @@ class PGroup:
         Exhaustive whenever the order fits the budget (mode "auto"), with all
         triples checked if order^3 <= 1e8 and at least ``triples`` seeded
         random triples otherwise.  mode "exhaustive" beyond the budget raises
-        BudgetExceeded; mode "sampled" never enumerates; ValueError for
+        BudgetExceeded; mode "sampled" never enumerates; InvalidInput for
         triples < 1, budget < 0 or seed < 0.
 
         All triples are certified on the Cayley table: the order^2 products
@@ -433,13 +433,13 @@ class PGroup:
         pairs passed); given the axioms above, that makes Omega_1 = p K central.
         """
         if mode not in ("auto", "exhaustive", "sampled"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise InvalidInput(f"unknown mode {mode!r}")
         if triples < 1:
-            raise ValueError(f"triples = {triples}: at least one triple is needed")
+            raise InvalidInput(f"triples = {triples}: at least one triple is needed")
         if budget < 0:
-            raise ValueError(f"budget = {budget}: the enumeration budget cannot be negative")
+            raise InvalidInput(f"budget = {budget}: the enumeration budget cannot be negative")
         if seed < 0:
-            raise ValueError(f"seed = {seed}: the seed must be non-negative")
+            raise InvalidInput(f"seed = {seed}: the seed must be non-negative")
         if mode == "exhaustive" and self.order > budget:
             raise BudgetExceeded(f"order {self.order} exceeds the exhaustive budget {budget}")
         exhaustive = mode == "exhaustive" or (mode == "auto" and self.order <= budget)

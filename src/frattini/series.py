@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .fplin import InvalidInput
+
 __all__ = [
     "PoincarePolynomial",
     "PoincareSeries",
@@ -32,7 +34,7 @@ class PoincarePolynomial:
     def __post_init__(self):
         co = tuple(int(c) for c in self.coefficients)
         if any(c < 0 for c in co):
-            raise ValueError("coefficients must be nonnegative")
+            raise InvalidInput("coefficients must be nonnegative")
         while co and co[-1] == 0:
             co = co[:-1]
         object.__setattr__(self, "coefficients", co)
@@ -72,7 +74,7 @@ class PoincareSeries:
 
     def __post_init__(self):
         if self.denominator_exponent < 0:
-            raise ValueError("denominator exponent must be nonnegative")
+            raise InvalidInput("denominator exponent must be nonnegative")
 
     def __str__(self) -> str:
         q = f"({self.numerator})"
@@ -92,7 +94,7 @@ def from_betti(b) -> PoincarePolynomial:
 def expand(s: PoincareSeries, n: int) -> list[int]:
     """Exact coefficients of the series through degree n (length n + 1)."""
     if n < 0:
-        raise ValueError("truncation degree must be nonnegative")
+        raise InvalidInput("truncation degree must be nonnegative")
     co = list(s.numerator.coefficients[: n + 1])
     co += [0] * (n + 1 - len(co))
     for _ in range(s.denominator_exponent):

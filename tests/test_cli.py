@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -9,7 +10,8 @@ from itertools import combinations
 
 import pytest
 
-from frattini import bocksteindga, cli, koszul, pgroups, series, younghook
+import frattini
+from frattini import bocksteindga, cli, extalg, fplin, koszul, pgroups, series, younghook
 from frattini.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -350,7 +352,7 @@ def test_group_n_above_cap_exits_3_before_building(which, monkeypatch):
 
 def test_group_n_at_cap_is_not_refused(monkeypatch):
     def reached(n, p):
-        raise ValueError(f"built U({n}, {p})")
+        raise fplin.InvalidInput(f"built U({n}, {p})")
 
     monkeypatch.setattr(pgroups, "unp_group", reached)
     code, out, err = invoke(["group", "-n", str(cli.GROUP_N_CAP), "-p", "7"])
@@ -602,6 +604,62 @@ def test_internal_error_while_rendering_prints_no_partial_report(monkeypatch):
     assert out == ""
     assert err == "error: internal error (KeyError: 'verdict')\n"
     assert invoke(HEISENBERG + ["--format", "json"])[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv",
+    [
+        (pgroups.PGroup, "verify", ["group", "-n", "2", "-p", "3"]),
+        (bocksteindga, "bockstein", ["bockstein", "-n", "2", "-p", "5", "--max-degree", "2", "--pairs", "2"]),
+        (koszul.KoszulComplex, "_independent", HEISENBERG),
+    ],
+    ids=["PGroup.verify", "bockstein", "KoszulComplex._independent"],
+)
+def test_value_error_inside_a_computation_exits_5(monkeypatch, owner, name, argv):
+    """Only InvalidInput means refused input; any other ValueError is a bug."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("check failed")
+
+    monkeypatch.setattr(owner, name, broken)
+    code, out, err = invoke(argv)
+    assert (code, out, err) == (EXIT_INTERNAL, "", "error: internal error (ValueError: check failed)\n")
+
+
+def test_refused_arguments_raise_invalid_input():
+    assert frattini.InvalidInput is fplin.InvalidInput and issubclass(fplin.InvalidInput, ValueError)
+    for cls in (
+        extalg.ParseError,
+        extalg.IndexOutOfRange,
+        koszul.DegenerateSubspace,
+        koszul.DependentQuadratics,
+        bocksteindga.PrimeTooSmall,
+        pgroups.ConstraintViolation,
+    ):
+        assert issubclass(cls, fplin.InvalidInput), cls
+
+
+def test_k_basis_with_huge_w_is_refused_before_any_allocation(tmp_path):
+    """An empty k_basis never builds a quadratic, so w must be checked on its own:
+    otherwise canonicalize lists C(w, 2) pairs and dies of memory."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"p": 5, "w": 100000, "k_basis": []}))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "frattini.cli", "koszul", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_address_space,
+        timeout=10,
+        check=False,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stdout == "" and "out of memory" not in proc.stderr
+    assert proc.stderr == "error: w + r = 100000 exceeds the 62-bit monomial encoding\n"
 
 
 def test_bockstein_sweep_over_budget_exits_4_quickly(monkeypatch):
