@@ -115,6 +115,8 @@ def _load_koszul_input(args: argparse.Namespace) -> tuple[int, Prime, object]:
             raise InvalidInput(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidInput("input file must hold a JSON object")
         missing = {"p", "w"} - data.keys()

@@ -14,23 +14,27 @@ of them is central.  Every commutator and p-th power lies in p K as well, so
 the Frattini subgroup is an F_p subspace of p K and its order is p to an F_p
 rank, the one reduction here (``fplin.rank``).
 
-Batch verification runs on int64 numpy arrays laid out coordinate-major: a
-batch of elements is an (n', ...) array with one contiguous row per
-coordinate, whether it holds the enumerated elements, sampled elements,
-module generators or the operands of a Cayley table.  One product kernel,
+Batch verification runs on numpy arrays laid out coordinate-major: a batch
+of elements is an (n', ...) array with one contiguous row per coordinate,
+whether it holds the enumerated elements, sampled elements, module
+generators or the operands of a Cayley table.  Every batch is built in one
+integer width, the narrowest of int16, int32 and int64 that holds the
+kernel exactly (``_check_bracket_bound``): int16 up to p = 31 for U(n) and
+the free group.  One product kernel,
 ``PGroup._mult``, serves every check.  The algebra stores only the nonzero
 brackets [b_i, b_j] with i < j, so the kernel sums each pair once, as
 c (x_i y_j - x_j y_i) for each [b_i, b_j]_k = c nonzero mod p, then writes
 a + b + p (bracket mod p) and reduces mod p^2 once.  Residues are
 x - m (x // m) (``_mod``): numpy divides by a scalar far faster than it
 takes ``%``.  The modulus is capped and the pairs per coordinate are
-counted, so every intermediate stays exact.  Small groups have associativity
-certified on every triple of their Cayley table by Light's test, read only
-at the module generators as middle elements (all elements if those fail to
-generate the table); sampled checks draw and check their triples, and no
-other elements, a fixed-size chunk at a time, so memory does not grow with
-the triple count.  In every mode p K is certified central
-on the pairs (p e_k, module generator), which is exact given the axioms.
+counted, so every intermediate stays exact in the chosen width.  Small
+groups have associativity certified on every triple of their Cayley table
+by Light's test, read only at the module generators as middle elements (all
+elements if those fail to generate the table); sampled checks draw and
+check their triples, and no other elements, a chunk of fixed byte size at a
+time, so memory does not grow with the triple count.  In every mode p K is
+certified central on the pairs (p e_k, module generator), which is exact
+given the axioms.
 """
 
 from __future__ import annotations
@@ -60,33 +64,46 @@ _PGROUP_PRIME_CAP = 46337
 DEFAULT_BUDGET = 10 ** 6
 DEFAULT_TRIPLES = 10 ** 5
 ASSOC_EXHAUSTIVE_BUDGET = 10 ** 8
-# Bytes of one sampled operand: a chunk holds _CHUNK_BYTES // (8 n') columns.
+# Bytes of one sampled operand: a chunk holds _CHUNK_BYTES // (itemsize n')
+# columns, 3276 for U(4, p) at int64 and 13,107 at int16.
 _CHUNK_BYTES = 1 << 18
 
 
 def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    """``x % m`` for int64 x, as x - m (x // m) on a new array; x is not written."""
+    """``x % m`` as x - m (x // m) on a new array of x's dtype; x is not written.
+
+    m must be an exact ``int``: NumPy 2 takes only that as a weak scalar, and
+    a ``Prime`` would promote a narrow x to int64.  The multiply-back
+    m (x // m) reaches |x| + m - 1, which the width must hold.
+    """
     r = x // m
     r *= -m
     r += x
     return r
 
 
-def _check_bracket_bound(terms: int, p: int) -> None:
-    """Refuse a bracket kernel that could overflow int64.
+def _check_bracket_bound(terms: int, p: int) -> np.dtype:
+    """The integer width of the bracket kernel; refuse one that could overflow int64.
 
     Before it reduces, ``PGroup._mult`` sums, into coordinate k,
     c (x_i y_j - x_j y_i) over the pairs i < j with [b_i, b_j]_k = c nonzero
     mod p.  c, x_i, x_j, y_i and y_j are residues mod p, so each term lies in
-    [-(p - 1)^3, (p - 1)^3], and the sum is exact when
-    terms * (p - 1)^3 < 2^63, where terms is the largest count of such pairs
+    [-(p - 1)^3, (p - 1)^3], where terms is the largest count of such pairs
     in one coordinate, counted by ``PGroup.__init__`` from the algebra's map.
+    int64 is refused when terms * (p - 1)^3 >= 2^63.  Otherwise the width is
+    the narrowest of int16, int32 and int64 whose maximum holds every value
+    ``_mult`` divides: that sum plus p - 1 for ``_mod``'s multiply-back, and
+    a + b + p (bracket mod p) < 3 p^2.  With one pair per coordinate (U(n)
+    and the free group) that is int16 for p <= 31, int32 for
+    37 <= p <= 1291 and int64 from 1297 to the prime cap.
     """
     if terms * (p - 1) ** 3 >= 1 << 63:
         raise InvalidInput(
             f"{terms} bracket pairs in one coordinate times (p - 1)^3"
             f" reach 2^63 at p = {p}; the bracket contraction would overflow int64"
         )
+    largest = max(terms * (p - 1) ** 3 + p - 1, 3 * p * p)
+    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
 
 
 class ConstraintViolation(InvalidInput):
@@ -154,10 +171,10 @@ class PGroupElement:
     coords: tuple[int, ...]
 
 
-def _all_vectors(p: int, k: int) -> np.ndarray:
-    """All of [0, p)^k as the columns of a (k, p^k) array, lexicographic."""
-    grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * k), indexing="ij")
-    return np.stack(grids).reshape(k, -1) if k else np.zeros((0, 1), dtype=np.int64)
+def _all_vectors(p: int, k: int, dtype) -> np.ndarray:
+    """All of [0, p)^k as the columns of a (k, p^k) array of ``dtype``, lexicographic."""
+    grids = np.meshgrid(*([np.arange(p, dtype=dtype)] * k), indexing="ij")
+    return np.stack(grids).reshape(k, -1) if k else np.zeros((0, 1), dtype=dtype)
 
 
 def _table_associative(M: np.ndarray, gens: np.ndarray) -> bool:
@@ -227,10 +244,11 @@ class PGroup:
                 if c % self.p:
                     by_coord.setdefault(k, []).append((i, j, c % self.p))
         self._brackets = sorted(by_coord.items())
-        _check_bracket_bound(max(map(len, by_coord.values()), default=0), int(self.p))
+        # Every batch is built in this width, so _mult computes in it.
+        self._dtype = _check_bracket_bound(max(map(len, by_coord.values()), default=0), int(self.p))
         # Coordinates the bracket reads: i < j, so the largest j.
         self._span = 1 + max((j for _, terms in self._brackets for _, j, _ in terms), default=-1)
-        self._chunk = _CHUNK_BYTES // (8 * n)  # columns per sampled or certificate chunk
+        self._chunk = _CHUNK_BYTES // (self._dtype.itemsize * n)  # columns per sampled or certificate chunk
         entries = range(n) if constraint is None else list(constraint)
         if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < n for c in entries):
             raise InvalidInput(f"constraint entries must be coordinate indices in range({n})")
@@ -271,18 +289,21 @@ class PGroup:
     # -- group operations -------------------------------------------------
 
     def _mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched product of coordinate-major int64 residues mod p^2.
+        """Batched product of coordinate-major residues mod p^2.
 
         a and b are (n', ...) arrays of broadcastable shapes and are never
         written.  On the residues mod p of the ``_span`` coordinates read, the
         bracket in coordinate k sums c (x_i y_j - x_j y_i) over the stored
         pairs i < j with [b_i, b_j]_k = c (one pair per coordinate in the free
         and U(n) algebras); the result is a + b + p (bracket mod p), reduced mod p^2
-        once.
+        once.  It is computed in the operands' common dtype, exact when that
+        is at least ``_dtype``.  Every scalar is an exact ``int`` (``int(self.p)``,
+        not the ``Prime``), which keeps a narrow dtype from promoting to int64.
         """
+        p = int(self.p)
         out = a + b
-        ra = _mod(a[:self._span], self.p)
-        rb = _mod(b[:self._span], self.p)
+        ra = _mod(a[:self._span], p)
+        rb = _mod(b[:self._span], p)
         for k, terms in self._brackets:
             br = None
             for i, j, c in terms:
@@ -291,8 +312,8 @@ class PGroup:
                 if c != 1:
                     d *= c
                 br = d if br is None else np.add(br, d, out=br)
-            br = _mod(br, self.p)
-            br *= self.p
+            br = _mod(br, p)
+            br *= p
             out[k] += br
         return _mod(out, self.q)
 
@@ -338,10 +359,10 @@ class PGroup:
         """All elements as the columns of an (n', order) array, lexicographic."""
         if self.order > budget:
             raise BudgetExceeded(f"order {self.order} exceeds the enumeration budget {budget}")
-        n = self.algebra.gen_count
-        s_part = np.zeros((n, int(self.p) ** self.s_dim), dtype=np.int64)
-        s_part[self._s] = _all_vectors(self.p, self.s_dim)
-        cols = (s_part[:, :, None] + self.p * _all_vectors(self.p, n)[:, None, :]).reshape(n, -1)
+        n, p = self.algebra.gen_count, int(self.p)
+        s_part = np.zeros((n, p ** self.s_dim), dtype=self._dtype)
+        s_part[self._s] = _all_vectors(p, self.s_dim, self._dtype)
+        cols = (s_part[:, :, None] + p * _all_vectors(p, n, self._dtype)[:, None, :]).reshape(n, -1)
         return cols[:, np.lexsort(cols[::-1])]
 
     def elements(self, *, budget: int = DEFAULT_BUDGET) -> list[PGroupElement]:
@@ -351,17 +372,18 @@ class PGroup:
     def _sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` uniform elements s + p t of pi^(-1)(S) as an (n', count) array,
         left unreduced: entries are <= p - 1 + p (p - 1) < p^2.  t is drawn
-        first, then the digits of s on the coordinates of S."""
-        xs = self.p * rng.integers(0, self.p, size=(self.algebra.gen_count, count), dtype=np.int64)
-        xs[self._s] += rng.integers(0, self.p, size=(self.s_dim, count), dtype=np.int64)
+        first, then the digits of s on the coordinates of S, in ``_dtype``."""
+        p = int(self.p)
+        xs = p * rng.integers(0, p, size=(self.algebra.gen_count, count), dtype=self._dtype)
+        xs[self._s] += rng.integers(0, p, size=(self.s_dim, count), dtype=self._dtype)
         return xs
 
     def _module_generators(self) -> np.ndarray:
         """Generators of the group as a Z/p^2 module, as the columns of an (n', m) array."""
-        eye = np.eye(self.algebra.gen_count, dtype=np.int64)
+        eye = np.eye(self.algebra.gen_count, dtype=self._dtype)
         if not self.constrained:
             return eye
-        return np.concatenate([eye[:, self._s], self.p * eye], axis=1)
+        return np.concatenate([eye[:, self._s], int(self.p) * eye], axis=1)
 
     # -- verification --------------------------------------------------------
 
@@ -384,7 +406,7 @@ class PGroup:
 
     def _identity_inverse_ok(self, cols: np.ndarray) -> bool:
         """Whether 0 is a two-sided identity for, and -x an inverse of, every column x."""
-        zero = np.zeros((self.algebra.gen_count, 1), dtype=np.int64)
+        zero = np.zeros((self.algebra.gen_count, 1), dtype=self._dtype)
         return (
             np.array_equal(self._mult(cols, zero), cols)
             and np.array_equal(self._mult(zero, cols), cols)
@@ -474,14 +496,15 @@ class PGroup:
         pairs, pc_pairs = n * gens.shape[1], 0
         for start in range(0, pairs, self._chunk):
             k, j = np.divmod(np.arange(start, min(start + self._chunk, pairs)), gens.shape[1])
-            w, g = self.p * (np.arange(n)[:, None] == k), gens[:, j]  # w = p e_k
+            w = np.multiply(np.arange(n)[:, None] == k, int(self.p), dtype=self._dtype)  # p e_k
+            g = gens[:, j]
             if not np.array_equal(mul(w, g), mul(g, w)):
                 break
             pc_pairs += len(k)
 
         if exhaustive:
             ident_ok = self._identity_inverse_ok(E)
-            omega = np.nonzero(~_mod(E, self.p).any(axis=0))[0]  # p x = 0 iff x is in p K
+            omega = np.nonzero(~_mod(E, int(self.p)).any(axis=0))[0]  # p x = 0 iff x is in p K
             omega1_rank = round(np.log(len(omega)) / np.log(self.p))
             if self.p ** omega1_rank != len(omega):
                 raise AssertionError("count of order-p elements must be a p-power")

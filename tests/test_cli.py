@@ -187,6 +187,20 @@ def test_unreadable_and_malformed_files(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [b"\xff", '{"p": 5, "w": 2, "quadratics": [], "note": "\u00e9"}'.encode("latin-1")],
+    ids=["one-0xff-byte", "latin-1-e-acute"],
+)
+def test_koszul_file_that_is_not_utf8_is_bad_input(tmp_path, raw):
+    """Both files used to exit 5 with an internal UnicodeDecodeError."""
+    path = tmp_path / "latin.json"
+    path.write_bytes(raw)
+    code, out, err = invoke(["koszul", str(path)])
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
     "payload, message",
     [
         ({"p": 7.9, "w": 2, "quadratics": [[[1, 2, 1]]]}, "field 'p' must be an integer"),

@@ -245,7 +245,9 @@ def test_built_in_algebras_within_bracket_bound(n):
 
 def test_bracket_bound_enforced_at_construction(monkeypatch):
     checked = []
-    monkeypatch.setattr(pgroups, "_check_bracket_bound", lambda terms, p: checked.append((terms, p)))
+    monkeypatch.setattr(
+        pgroups, "_check_bracket_bound", lambda terms, p: checked.append((terms, p)) or np.dtype(np.int64)
+    )
     PGroup(free_two_step(2), 5)  # the one pair (b_1, b_2) lands in the central coordinate
     assert checked == [(1, 5)]
 
@@ -261,6 +263,77 @@ def test_unp_group_at_n_64_constructs():
     assert g.algebra.gen_count == 2080 and len(g._brackets) == 2016
     assert all(len(terms) == 1 for _, terms in g._brackets)
     assert g.s_dim == 64 and g._span == 64
+
+
+# The primes on both sides of each width switch: (int16, int32) then (int32, int64).
+_SWITCHES = {1: ((31, 37), (1291, 1297)), 2: ((23, 29), (1021, 1031))}
+
+
+def _pairs_group(pairs, p):
+    """2 pairs + 1 generators: (b_1, b_2), (b_3, b_4), ... all bracket to -b_last,
+    so the one central coordinate sums ``pairs`` terms, each scaled by c = p - 1,
+    the largest residue."""
+    last = 2 * pairs
+    bracket = {(2 * t, 2 * t + 1): {last: -1} for t in range(pairs)}
+    return PGroup(TwoStepLieAlgebra(last + 1, bracket, frozenset({last})), p)
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_width_switches_where_the_bound_says(pairs):
+    """int16, int32, int32, int64 at the four primes; U(n) and the free group
+    have one pair per coordinate, and a second pair moves the switches down."""
+    builds = [lambda p: _pairs_group(pairs, p)]
+    if pairs == 1:
+        builds += [lambda p: unp_group(3, p), lambda p: PGroup(free_two_step(3), p)]
+    widths = [np.dtype(t) for t in (np.int16, np.int32, np.int32, np.int64)]
+    primes = [p for switch in _SWITCHES[pairs] for p in switch]
+    for build in builds:
+        assert [build(p)._dtype for p in primes] == widths
+
+
+def _extreme_operands(g, sign):
+    """(a, b) whose bracket sum in the central coordinate is sign * terms * (p - 1)^3
+    and whose a + b there is 2 q - 2, in ``g._dtype``."""
+    p, q, n = int(g.p), g.q, g.algebra.gen_count
+    a, b = np.full((n, 1), q - p, dtype=g._dtype), np.full((n, 1), q - p, dtype=g._dtype)  # residues 0
+    for t in range(0, n - 1, 2):  # c (x_i y_j - x_j y_i) with c = p - 1
+        x, y = (a, b) if sign > 0 else (b, a)
+        x[t] = y[t + 1] = q - 1  # x_i = y_j = p - 1, x_j = 0
+    a[-1] = b[-1] = q - 1
+    return a, b
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_width_is_exact_at_the_extremes(pairs, sign):
+    for p in (p for switch in _SWITCHES[pairs] for p in switch):
+        g = _pairs_group(pairs, p)
+        a, b = _extreme_operands(g, sign)
+        ra, rb = a[:-1].astype(np.int64) % p, b[:-1].astype(np.int64) % p
+        assert (p - 1) * (ra[0::2] * rb[1::2] - ra[1::2] * rb[0::2]).sum() == sign * pairs * (p - 1) ** 3
+        got = g._mult(a, b)
+        assert got.dtype == g._dtype, p
+        assert np.array_equal(got, g._mult(a.astype(np.int64), b.astype(np.int64))), p
+        assert np.array_equal(_row_major(got), reference_mult_rows(g, _row_major(a), _row_major(b))), p
+
+
+@pytest.mark.parametrize("p", [3, 31, 37, 1297])
+@pytest.mark.parametrize("which", ["u", "g"])
+def test_batches_stay_in_the_width(monkeypatch, which, p):
+    """A ``Prime`` scalar is not a weak scalar to NumPy 2, so one left in the
+    kernel or the draw would promote these to int64.  The kernel's in-place
+    adds would cast its result back, so its residues are read too."""
+    g = unp_group(2, p) if which == "u" else PGroup(free_two_step(2), p)
+    x, y = (g._sample(np.random.default_rng(p), 8) for _ in range(2))
+    residues = []
+    mod = pgroups._mod
+    monkeypatch.setattr(pgroups, "_mod", lambda a, m: residues.append(mod(a, m)) or residues[-1])
+    assert x.dtype == g._dtype and g._mult(x, y).dtype == g._dtype
+    assert {r.dtype for r in residues} == {g._dtype}
+    assert g._module_generators().dtype == g._dtype
+    if p == 3:
+        assert g._enumerate(pgroups.DEFAULT_BUDGET).dtype == g._dtype
+    assert g._chunk == pgroups._CHUNK_BYTES // (g._dtype.itemsize * g.algebra.gen_count)
 
 
 def _dense_group(gens, central, p, constrained):
