@@ -13,12 +13,13 @@ once, by the type of the exception a runner raises.  0 success; 1 a
 verification disagreed where agreement is guaranteed; 2 the Bockstein block is
 not contained in the input subspace (``koszul.BocksteinNotContained``); 3
 invalid input (``fplin.InvalidInput``, from the library or from a check here),
-including group -n above GROUP_N_CAP; 4 a resource limit was hit
-(``fplin.BudgetExceeded`` or ``MemoryError``): the group enumeration budget
-(retry with --mode sampled), the Bockstein sweep budget (lower --max-degree),
-the series expansion bound (truncate + 1)(w + r + 1) <= EXPANSION_CAP of
-series, koszul and unp (lower --truncate), a Koszul block over fplin.BLOCK_CAP
-(fplin.check_block) or the available memory ("error: out of memory"); 5
+including group -n above GROUP_N_CAP and bockstein -n above BOCKSTEIN_N_CAP; 4
+a resource limit was hit (``fplin.BudgetExceeded`` or ``MemoryError``): the
+group enumeration budget (retry with --mode sampled), the Bockstein sweep
+budget (lower --max-degree), the series expansion bound
+(truncate + 1)(w + r + 1) <= EXPANSION_CAP of series, koszul and unp (lower
+--truncate), a Koszul block over fplin.BLOCK_CAP (fplin.check_block) or the
+available memory ("error: out of memory"); 5
 internal error (any other exception, a ``ValueError`` that is not
 ``InvalidInput`` included: "error: internal error (...)", nothing on stdout).
 
@@ -64,6 +65,11 @@ EXIT_INTERNAL = 5
 # and 41 MiB with --group g and 8.4 s and 39 MiB for U(20, 7), about 90 % of
 # it in ``_mult`` (1.0 s and 1.2 s with --triples 1000).
 GROUP_N_CAP = 20
+# ``bockstein -n`` above this is refused.  The listing of 2n + C(n, 2) generator
+# images grows with n^2 whatever the sweep budget: with --max-degree 0 --pairs 0
+# (2-core x86-64, numpy 2.4) n = 200 took 0.76 s at 73 MiB and n = 400 3.95 s
+# at 203 MiB, and n = 1000 gave no answer in 30 s under a 1 GiB address space.
+BOCKSTEIN_N_CAP = 200
 # Expanding a series through degree T with denominator exponent v = w + r
 # runs about (T + 1)(v + 1) big-integer steps and holds T + 1 coefficients;
 # at the cap ``series --format json`` took 0.7-1.3 s and up to 114 MiB on that
@@ -349,6 +355,11 @@ def run_group(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_bockstein(args: argparse.Namespace) -> tuple[dict, int]:
     n, max_degree = args.n, args.max_degree
+    if n > BOCKSTEIN_N_CAP:
+        raise InvalidInput(
+            f"n = {n}: the listing of 2n + C(n, 2) generator images grows with n^2;"
+            f" bockstein is capped at n <= {BOCKSTEIN_N_CAP}"
+        )
     p = as_prime(args.p)
     gens = bocksteindga.Generators(n, p)
     # The sweep refuses an over-budget input before any image is listed.

@@ -251,6 +251,16 @@ class ExtElement(_TermMap):
                 clean[(eb, xb)] = c
         self._terms = clean
 
+    @classmethod
+    def _from_residues(cls, ambient: Ambient, terms: dict[tuple[int, int], int]) -> "ExtElement":
+        """The element with exactly ``terms``, taken as they are: neither range
+        checked nor reduced.  Precondition: every key is a basis key (e_bits,
+        x_bits) of ``ambient`` and every value a residue in [1, p)."""
+        out = cls.__new__(cls)
+        out.ambient = ambient
+        out._terms = terms
+        return out
+
     @staticmethod
     def _key_degree(key: tuple[int, int]) -> int:
         return key[0].bit_count() + key[1].bit_count()

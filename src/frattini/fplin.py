@@ -1,18 +1,22 @@
 """Exact dense linear algebra over the prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  The
+Matrices are numpy integer arrays with entries reduced to [0, p).  The
 modulus is capped below 2**31, so a product of two residues is at most
 (p - 1)**2 < 2**62.  Elimination subtracts such products from the entries
 without reducing them (delayed modular reduction): an entry that started as
-a residue and has taken j updates lies in [-j * (p - 1)**2, p).  ``_update``
-lets at most ``_budget(p)`` updates pile up and reduces mod p when one more
-could leave int64; the budget is 1 at p = 2**31 - 1, 8 at p = 10**9 + 7 and
-beyond any matrix size for small p.  Pivot tests, multipliers and pivot rows
-are always read reduced, and every result is returned reduced.  Nothing sums
-products (no ``@``, ``dot`` or ``einsum``): near p = 2**31 one such sum
-overflows.  All pivoting is deterministic (first nonzero entry, columns
-scanned left to right), so kernel bases and quotient representatives are
-reproducible byte for byte.
+a residue and has taken j updates lies in [-j * (p - 1)**2, p).  Every array
+it eliminates is in one integer width chosen from p alone, ``_width(p)``:
+the narrowest of int16, int32 and int64 that holds 2 (p - 1)**2 + p, so
+int16 up to p = 127, int32 up to p = 32749 and int64 above.  ``_update``
+lets at most ``_budget(p, dtype)`` updates pile up in the array it writes
+and reduces mod p when one more could leave its width; the budget is 326 at
+p = 11 in int16, 1 at p = 127, 32749 and 2**31 - 1 and 8 at p = 10**9 + 7 in
+int64.  Pivot tests, multipliers and pivot rows are always read reduced, and
+every public result is returned reduced and in int64.  Nothing sums products
+(no ``@``, ``dot`` or ``einsum``): near p = 2**31 one such sum overflows.
+All pivoting is deterministic (first nonzero entry, columns scanned left to
+right), so kernel bases and quotient representatives are reproducible byte
+for byte.
 """
 
 from __future__ import annotations
@@ -140,11 +144,28 @@ class FpMatrix:
         return f"FpMatrix({self._a.tolist()!r}, p={int(self.p)})"
 
 
-def _budget(p: int) -> int:
+_TOP = {np.dtype(t): int(np.iinfo(t).max) for t in (np.int16, np.int32, np.int64)}  # narrowest first
+
+
+def _narrowest(largest: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 whose maximum holds ``largest``."""
+    for t, top in _TOP.items():
+        if largest <= top:
+            return t
+
+
+def _width(p: int) -> np.dtype:
+    """The width every eliminated array has: the narrowest holding 2 (p - 1)**2 + p,
+    which is exactly ``_budget(p, width) >= 1``; int16 for p <= 127, int32 for
+    131 <= p <= 32749 and int64 above."""
+    return _narrowest(2 * (p - 1) ** 2 + p)
+
+
+def _budget(p: int, dtype: np.dtype) -> int:
     """Updates x -= f * row (f, row residues, so each subtracts at most
-    (p - 1)**2) that an array of residues takes without leaving int64, less one
-    for margin: at least 1 for every p below 2**31."""
-    return ((1 << 63) - 1 - p) // (p - 1) ** 2 - 1
+    (p - 1)**2) that an array of residues of ``dtype`` takes without leaving
+    it, less one for margin: at least 1 in ``_width(p)``."""
+    return (_TOP[dtype] - p) // (p - 1) ** 2 - 1
 
 
 def _update(x: np.ndarray, rows: np.ndarray, f: np.ndarray, row: np.ndarray, p: int, pending: int) -> int:
@@ -152,11 +173,12 @@ def _update(x: np.ndarray, rows: np.ndarray, f: np.ndarray, row: np.ndarray, p: 
 
     ``f`` and ``row`` are residues; every entry of ``x`` has taken at most
     ``pending`` unreduced updates since it was last a residue.  The one
-    overflow rule: when this update brings that count to ``_budget(p)``, the
-    next could overflow, so x is reduced mod p (only the written block when
-    no other update was pending) and the count restarts at 0.
+    overflow rule: when this update brings that count to
+    ``_budget(p, x.dtype)``, the next could overflow, so x is reduced mod p
+    (only the written block when no other update was pending) and the count
+    restarts at 0.
     """
-    if pending + 1 < _budget(p):
+    if pending + 1 < _budget(p, x.dtype):
         x[rows] -= f[:, None] * row
         return pending + 1
     if pending:
@@ -168,17 +190,24 @@ def _update(x: np.ndarray, rows: np.ndarray, f: np.ndarray, row: np.ndarray, p: 
 
 
 def _echelon(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce a copy of ``a`` mod p.
+    """Row-reduce a copy of ``a`` mod p, in ``_width(p)``.
 
     Deterministic pivoting: columns scanned left to right, pivot is the first
     nonzero entry at or below the current row.  ``reduced`` eliminates above
     the pivots as well (RREF); otherwise only below (enough for ranks and for
-    ``_reduce_rows``).  Either way pivot rows lead with 1.
+    ``_reduce_rows``).  Either way pivot rows lead with 1.  Once the pivot
+    row of column c sits at row r it is zero mod p before c (each earlier
+    column was a pivot column, cleared below its row, or had no nonzero at
+    or below it), so reading it, scaling it and every update touch only the
+    columns from c on, which are the only ones read later.  What an unreduced
+    update left before them is reduced once at the end.
     """
-    R = a.copy()
+    p = int(p)  # an exact int is a weak scalar to NumPy 2; a Prime would promote to int64
+    R = a.astype(_width(p))
     m, n = R.shape
     pivots: list[int] = []
     r = pending = 0
+    dirty = False
     for c in range(n):
         if r == m:
             break
@@ -195,14 +224,15 @@ def _echelon(a: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int
         if base + lead != r:
             R[[r, base + lead]] = R[[base + lead, r]]
         if pending:
-            R[r] %= p
+            R[r, c:] %= p
         if inv != 1:
-            R[r] = R[r] * inv % p
+            R[r, c:] = R[r, c:] * inv % p
         if rows.size:
-            pending = _update(R[base:], rows, f, R[r], p, pending)
+            pending = _update(R[base:, c:], rows, f, R[r, c:], p, pending)
+            dirty = dirty or pending > 0  # some entry may now be unreduced
         pivots.append(c)
         r += 1
-    if pending:
+    if dirty:
         np.remainder(R, p, out=R)
     return R, pivots
 
@@ -223,19 +253,20 @@ def kernel_basis(m: FpMatrix) -> list[np.ndarray]:
 
     One vector per free column of the RREF, in increasing column order; the
     free coordinate is set to 1 and the pivot coordinates back-substituted.
-    Exactly cols - rank vectors are returned.
+    Exactly cols - rank vectors are returned, in int64.
     """
-    return list(_kernel(m)[0])
+    return list(_kernel(m)[0].astype(np.int64))
 
 
 def _kernel(m: FpMatrix) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """``kernel_basis`` stacked, its free columns and m's RREF pivots.  The basis is
-    the identity on the free columns: an echelon basis on them for ``_reduce_rows``."""
+    """``kernel_basis`` stacked in ``_width(p)``, its free columns and m's RREF pivots.
+    The basis is the identity on the free columns: an echelon basis on them for
+    ``_reduce_rows``."""
     R, piv = _echelon(m.entries, m.p, reduced=True)
     free = np.setdiff1d(np.arange(m.cols), piv)
-    k = np.zeros((free.size, m.cols), dtype=np.int64)
+    k = np.zeros((free.size, m.cols), dtype=R.dtype)
     k[np.arange(free.size), free] = 1
-    k[:, piv] = (-R[:len(piv)][:, free].T) % m.p
+    k[:, piv] = (-R[:len(piv)][:, free].T) % int(m.p)
     return k, free, piv
 
 
@@ -261,8 +292,9 @@ def check_block(rows: int, cols: int, where: str) -> int:
     """Refuse an R x C block, before anything is allocated for it, with
     BudgetExceeded naming ``where`` when 8 (5RC + 7C^2) > BLOCK_CAP; returns it.
 
-    That bounds the bytes of int64 arrays held at once while the block is
-    eliminated with representatives (the ranks-only path holds less).  With
+    That bounds the bytes held at once while the block is eliminated with
+    representatives (the ranks-only path holds less), counting every array as
+    int64: an upper bound, as the eliminated arrays are in ``_width(p)``.  With
     K = dim ker <= C and B <= K incoming boundaries (B x C): the block and its
     ``FpMatrix`` copy take 2RC; ``_echelon`` adds its copy and up to 3RC of
     ``_update`` temporaries (gathered rows, f * row, their difference).  Then
@@ -284,8 +316,11 @@ def _reduce_rows(w: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) ->
     leading 1s (reduced or not), or a kernel basis on its free columns.  Each
     row ends zero on ``pivots``, and zero exactly when it lies in the row
     space; for an RREF basis it is the normal form defined in
-    ``quotient_representatives``.  One vectorised step per pivot.
+    ``quotient_representatives``.  One vectorised step per pivot, in ``w``'s
+    dtype: callers allocate w in ``_width(p)`` (a wider w is exact too, as
+    ``_update`` reads the budget of the array it writes).
     """
+    p = int(p)
     pending = 0
     for k, c in enumerate(pivots):
         f = w[:, c] if not pending else w[:, c] % p
@@ -309,7 +344,8 @@ def quotient_representatives(cycles, boundaries, p) -> list[np.ndarray]:
     the normal form of cycle i modulo span(boundaries, cycles 0..i-1), kept
     (not rescaled) when nonzero.  All cycles are reduced modulo the boundaries
     in one batched pass; one forward pass over them then clears each
-    representative's lead column from the cycles after it.
+    representative's lead column from the cycles after it.  The vectors come
+    back in int64.
     """
     p = as_prime(p)
     cyc_rows = [np.asarray(v, dtype=np.int64) for v in cycles]
@@ -322,15 +358,17 @@ def quotient_representatives(cycles, boundaries, p) -> list[np.ndarray]:
     a = np.stack(rows)
     np.mod(a, p, out=a)
     cyc, bnd = a[:len(cyc_rows)], a[len(cyc_rows):]
-    return [rep for _, rep in _quotient_pairs(cyc, *_echelon(cyc, p, reduced=False), bnd, p)[0]]
+    return [rep.astype(np.int64) for _, rep in _quotient_pairs(cyc, *_echelon(cyc, p, reduced=False), bnd, p)[0]]
 
 
 def _quotient_pairs(cyc, cyc_echelon, cyc_pivots, bnd, p):
     """``quotient_representatives`` on residue arrays, given an echelon basis of
     span(cyc) for ``_reduce_rows`` (a kernel basis and its free columns will do).
-    Returns [(cycle index, representative)] and the boundaries' RREF rows and pivots."""
+    Returns [(cycle index, representative)] and the boundaries' RREF rows and
+    pivots, all in ``_width(p)``."""
+    p = int(p)
     bnd_rref, bnd_pivots = _echelon(bnd, p, reduced=True)
-    w = _reduce_rows(cyc.copy(), bnd_rref, bnd_pivots, p)
+    w = _reduce_rows(cyc.astype(bnd_rref.dtype), bnd_rref, bnd_pivots, p)
     reps: list[tuple[int, np.ndarray]] = []
     pending = 0
     for i in range(len(w)):

@@ -402,9 +402,9 @@ class BettiTable:
     ``dims[d]`` is the dimension in degree d for d = 0..w+r.  When computed
     with representatives, ``representatives[d]`` lists canonical cocycles
     whose classes form a basis, and ``_matrices[d]`` maps each grade of
-    degree d to its keys, the RREF of its boundaries (rank-many rows) and
-    that RREF's pivots.  Compared by identity; cup products require both
-    classes to come from the same table.
+    degree d to its keys, the RREF of its boundaries (rank-many rows, in
+    ``fplin._width(p)``) and that RREF's pivots.  Compared by identity; cup
+    products require both classes to come from the same table.
     """
 
     def __init__(self, complex: KoszulComplex, dims, representatives, matrices):
@@ -429,9 +429,10 @@ class BettiTable:
 
         Raises NotACocycle unless d(elem) = 0.  The representative is the
         normal form of elem modulo the boundaries: grade by grade, elem's part
-        reduced against its block's boundary RREF.  Every representative is
-        zero on that RREF's pivots, so the normal form is the one combination
-        of representatives in elem's class.  Nothing is eliminated here.
+        reduced against its block's boundary RREF, one row in that RREF's
+        width.  Every representative is zero on that RREF's pivots, so the
+        normal form is the one combination of representatives in elem's class.
+        Nothing is eliminated here.
         """
         if self.representatives is None:
             raise ValueError("table was computed without representatives")
@@ -455,12 +456,17 @@ class BettiTable:
         for g, terms in by_grade.items():
             keys, bnd_rref, bnd_pivots = self._matrices[d][g]
             index = {k: i for i, k in enumerate(keys)}
-            v = np.zeros((1, len(keys)), dtype=np.int64)
+            v = np.zeros((1, len(keys)), dtype=bnd_rref.dtype)
             for key, coeff in terms.items():
                 v[0, index[key]] = coeff
-            v = fplin._reduce_rows(v, bnd_rref, bnd_pivots, c.p)[0]
-            out.update((keys[i], int(v[i])) for i in np.flatnonzero(v))
-        return CohomologyClass(d, ExtElement(c.ambient, out), self)
+            out.update(_residue_terms(keys, fplin._reduce_rows(v, bnd_rref, bnd_pivots, c.p)[0]))
+        return CohomologyClass(d, ExtElement._from_residues(c.ambient, out), self)
+
+
+def _residue_terms(keys, v: np.ndarray) -> dict:
+    """The term map of a residue vector over ``keys``, in key order, read in one step."""
+    nz = np.flatnonzero(v)
+    return dict(zip(map(keys.__getitem__, nz.tolist()), v[nz].tolist()))
 
 
 def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int | None = None) -> BettiTable:
@@ -510,7 +516,7 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
             found += [(keys[free[i]][::-1], keys, v) for i, v in pairs]  # sorted by (x, e) of the free column
             blocks[g] = (keys, bnd_rref, bnd_pivots)
         found.sort(key=lambda item: item[0])
-        reps = [ExtElement(c.ambient, {keys[i]: int(v[i]) for i in np.nonzero(v)[0]}) for _, keys, v in found]
+        reps = [ExtElement._from_residues(c.ambient, _residue_terms(keys, v)) for _, keys, v in found]
         dims.append(sum(map(len, dom.values())) - rank - prev_rank)
         prev_rank, incoming = rank, outgoing
         reps_by_degree.append(tuple(reps))

@@ -92,7 +92,8 @@ def _check_bracket_bound(terms: int, p: int) -> np.dtype:
     in one coordinate, counted by ``PGroup.__init__`` from the algebra's map.
     int64 is refused when terms * (p - 1)^3 >= 2^63.  Otherwise the width is
     the narrowest of int16, int32 and int64 whose maximum holds every value
-    ``_mult`` divides: that sum plus p - 1 for ``_mod``'s multiply-back, and
+    ``_mult`` divides (``fplin._narrowest``, the rule ``fplin._width`` also
+    uses): that sum plus p - 1 for ``_mod``'s multiply-back, and
     a + b + p (bracket mod p) < 3 p^2.  With one pair per coordinate (U(n)
     and the free group) that is int16 for p <= 31, int32 for
     37 <= p <= 1291 and int64 from 1297 to the prime cap.
@@ -102,8 +103,7 @@ def _check_bracket_bound(terms: int, p: int) -> np.dtype:
             f"{terms} bracket pairs in one coordinate times (p - 1)^3"
             f" reach 2^63 at p = {p}; the bracket contraction would overflow int64"
         )
-    largest = max(terms * (p - 1) ** 3 + p - 1, 3 * p * p)
-    return next(np.dtype(t) for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
+    return fplin._narrowest(max(terms * (p - 1) ** 3 + p - 1, 3 * p * p))
 
 
 class ConstraintViolation(InvalidInput):

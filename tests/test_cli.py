@@ -753,3 +753,27 @@ def test_crosscheck_n_max_6_agrees():
     assert all(row["agree"] and row["within_guarantee"] for row in report["rows"])
     assert report["rows"][-1]["koszul"] == younghook.unp_betti(6)
     assert report["all_agree_within_guarantee"] is True
+
+
+def test_bockstein_n_above_cap_exits_3_before_building(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("the generators were built before n was checked")
+
+    monkeypatch.setattr(bocksteindga, "Generators", built)
+    monkeypatch.setattr(bocksteindga, "verify_differential", built)
+    code, out, err = invoke(["bockstein", "-n", str(cli.BOCKSTEIN_N_CAP + 1), "-p", "5", "--max-degree", "0", "--pairs", "0"])
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"error: n = {cli.BOCKSTEIN_N_CAP + 1}: ")
+    assert err.endswith(f"capped at n <= {cli.BOCKSTEIN_N_CAP}\n")
+
+
+def test_bockstein_n_at_cap_is_not_refused(monkeypatch):
+    """The cap leaves room for the n = 100 listing that CI times."""
+    def reached(n, p):
+        raise fplin.InvalidInput(f"built the generators for n = {n}")
+
+    assert cli.BOCKSTEIN_N_CAP >= 100
+    monkeypatch.setattr(bocksteindga, "Generators", reached)
+    code, out, err = invoke(["bockstein", "-n", str(cli.BOCKSTEIN_N_CAP), "-p", "5"])
+    assert (code, err) == (EXIT_BAD_INPUT, f"error: built the generators for n = {cli.BOCKSTEIN_N_CAP}\n")

@@ -205,3 +205,12 @@ def test_merge_sign_matches_reference_on_all_disjoint_8_bit_pairs():
             if not b:
                 break
             b = (b - 1) & rest
+
+
+@given(elements())
+def test_trusted_constructor_equals_the_validating_one(a):
+    trusted = ExtElement._from_residues(AMB, dict(a._terms))
+    assert type(trusted) is ExtElement
+    assert trusted == a and list(trusted._terms) == list(a._terms)
+    assert str(trusted) == str(a) and hash(trusted) == hash(a)
+    assert trusted * a == a * a and trusted + a == a + a

@@ -345,11 +345,12 @@ SMALL_BUDGET_PRIMES = (1_000_000_007, 2147483647)
 
 
 def test_budget():
-    assert fplin._budget(1_000_000_007) == 8
-    assert fplin._budget(2147483647) == 1
-    assert fplin._budget(11) > 1 << 50
+    int64 = np.dtype(np.int64)
+    assert fplin._budget(1_000_000_007, int64) == 8
+    assert fplin._budget(2147483647, int64) == 1
+    assert fplin._budget(11, int64) > 1 << 50
     for p in (3, 11, 46337, 1_000_000_007, 1_500_000_001, 1_750_000_027, 2147483629, 2147483647):
-        b = fplin._budget(Prime(p))
+        b = fplin._budget(Prime(p), int64)
         assert b >= 1
         # b updates from a residue, and one more for margin, stay inside int64
         assert (b + 1) * (p - 1) ** 2 + p <= 2**63 - 1
@@ -387,7 +388,12 @@ def _small_budget_cases(p):
     ]
 
 
-@pytest.mark.parametrize("p", SMALL_BUDGET_PRIMES)
+# both sides of both elimination-width switches, and p = 257, where int16 could
+# not hold one update
+WIDTH_SWITCH_PRIMES = (127, 131, 257, 32749, 32771)
+
+
+@pytest.mark.parametrize("p", SMALL_BUDGET_PRIMES + WIDTH_SWITCH_PRIMES)
 def test_small_budgets_match_references(p):
     for name, got, want in _small_budget_cases(p):
         assert got == want, name
@@ -397,6 +403,68 @@ def test_small_budgets_match_references(p):
 def test_small_budget_cases_overflow_without_mid_loop_reduction(p, monkeypatch):
     """Reducing only at the end of each loop gets every case wrong: the cases
     above really need the mid-loop reduction."""
-    monkeypatch.setattr(fplin, "_budget", lambda p: 1 << 62)
+    monkeypatch.setattr(fplin, "_budget", lambda p, dtype: 1 << 62)
     for name, got, want in _small_budget_cases(p):
         assert got != want, name
+
+
+# -- the elimination width -----------------------------------------------------
+
+WIDTH_SWITCHES = {127: np.int16, 131: np.int32, 32749: np.int32, 32771: np.int64}
+
+
+def test_width_at_both_sides_of_both_switches():
+    assert {p: fplin._width(p) for p in WIDTH_SWITCHES} == {p: np.dtype(t) for p, t in WIDTH_SWITCHES.items()}
+
+
+@pytest.mark.parametrize("p", (3, 11, 89, 113, 127, 131, 257, 46337, 32749, 32771, 1_000_000_007, 2147483647))
+def test_width_is_the_narrowest_with_a_budget(p):
+    """The width holds 2 (p - 1)**2 + p, exactly the condition for a budget of at
+    least one update; a narrower width has none."""
+    t = fplin._width(p)
+    assert fplin._budget(p, t) >= 1
+    assert (fplin._budget(p, t) + 1) * (p - 1) ** 2 + p <= np.iinfo(t).max
+    narrower = [u for u in (np.int16, np.int32, np.int64) if np.dtype(u).itemsize < t.itemsize]
+    assert all(fplin._budget(p, np.dtype(u)) < 1 for u in narrower)
+
+
+def test_budget_in_int16_at_p_11():
+    assert fplin._budget(11, np.dtype(np.int16)) == 326
+    assert fplin._budget(127, np.dtype(np.int16)) == 1
+    assert fplin._budget(32749, np.dtype(np.int32)) == 1
+
+
+def test_prime_modulus_keeps_every_update_in_the_width(monkeypatch):
+    """NumPy 2 takes only an exact int as a weak scalar: a ``Prime`` left in an
+    expression promotes an int16 array to int64.  Every kernel entry point gets
+    a ``Prime`` here, and every update it makes must stay in int16."""
+    seen = set()
+    update = fplin._update
+
+    def spy(x, rows, f, row, p, pending):
+        seen.add((x.dtype, f.dtype, row.dtype, type(p)))
+        return update(x, rows, f, row, p, pending)
+
+    monkeypatch.setattr(fplin, "_update", spy)
+    p = Prime(11)
+    a = _worst_case(11, 16, 20)
+    assert fplin._echelon(a, p, True)[0].dtype == np.int16
+    assert fplin._echelon(a, p, False)[0].dtype == np.int16
+    ker, free, piv = fplin._kernel(FpMatrix(a, p))
+    assert ker.dtype == np.int16
+    reps, bnd_rref, _ = fplin._quotient_pairs(ker, ker, free, ker[:2] * 3 % 11, p)
+    assert bnd_rref.dtype == np.int16 and all(v.dtype == np.int16 for _, v in reps)
+    w = np.array(_worst_case(11, 6, 20), dtype=np.int16)
+    assert fplin._reduce_rows(w, *fplin._echelon(a, p, False), p) is w
+    assert len(seen) > 0 and seen == {(np.dtype(np.int16),) * 3 + (int,)}
+
+
+def test_public_results_stay_int64_in_a_narrow_width():
+    p = 11
+    a = _worst_case(p, 6, 9)
+    m = FpMatrix(a, p)
+    assert fplin._width(p) == np.int16
+    assert rref(m)[0].entries.dtype == np.int64
+    assert all(v.dtype == np.int64 for v in kernel_basis(m))
+    assert solve(m, a[:, 0]).dtype == np.int64
+    assert all(v.dtype == np.int64 for v in quotient_representatives(list(a.T[:3]), [], p))

@@ -893,3 +893,36 @@ def test_unp6_ranks_match_oracle_quickly(monkeypatch):
     assert time.perf_counter() - start < 20
     assert list(dims) == unp_betti(6)
     assert calls == {"orbit": 1, "rank": 352}
+
+
+@pytest.mark.parametrize("p", [11, 131, 32771])
+def test_representatives_do_not_depend_on_the_elimination_width(monkeypatch, p):
+    """Results are unique, so eliminating in int64 at every p gives the same
+    representatives, boundary normal forms and cup products as ``_width(p)``."""
+    c = generic_complex(5, 4, p, seed=7)
+
+    def run():
+        t = betti(c)
+        classes = [t.classes(d) for d in range(c.top_degree + 1)]
+        cups = [str(cup(a, b)) for a in classes[1] for b in classes[2]]
+        return t.dims, t.representatives, cups, [
+            {g: (keys, rref.tolist(), piv) for g, (keys, rref, piv) in blocks.items()} for blocks in t._matrices
+        ]
+
+    narrow = run()
+    monkeypatch.setattr(fplin, "_width", lambda p: np.dtype(np.int64))
+    assert run() == narrow
+    assert narrow[1][2] and narrow[2]
+
+
+def test_betti_representatives_take_their_terms_in_one_step():
+    """Representatives come from the trusted constructor: residues in [1, p) over
+    basis keys, in the order of the block's keys, equal to validated elements."""
+    c = generic_complex(5, 3, 11, seed=3)
+    t = betti(c)
+    for d, reps in enumerate(t.representatives):
+        keys = set(_basis_bits(c.w, c.r, d))
+        for z in reps:
+            assert z == ExtElement(c.ambient, z._terms)
+            assert all(type(v) is int and 1 <= v < 11 for v in z._terms.values())
+            assert set(z._terms) <= keys
