@@ -9,10 +9,17 @@ e-variables.  On a monomial with T = {t_1 < ... < t_k}:
 Homology in each degree is ker d / im d, computed by exact F_p elimination;
 representatives are canonical, so repeated runs agree byte for byte.
 
+There is one implementation of d, ``_diff_triplets``: it takes many keys as
+arrays and returns every term of their differentials at once, as (column,
+target e-mask, target x-mask, value), its signs from bit counts.  Matrices,
+blocks and ``differential`` are all scattered from it.
+
 d preserves a grading of the basis, so each degree's matrix is block-diagonal:
 the internal weight |S| + 2|T| of e_S x_T always, and the finer Z^w
 multidegree (e_i -> eps_i, x_t -> eps_a + eps_b) when every quadratic q_t is a
-single monomial c e_a e_b, as for ``unp_complex``.  Betti numbers, the
+single monomial c e_a e_b, as for ``unp_complex``.  A grade is one integer:
+the multidegree is coded with digit i in base r + 2, which no sum of keys
+carries.  Betti numbers, the
 representatives and the reduction of cocycles to classes all work one grade
 block at a time; no full-degree matrix is built.  The RREF of a block-diagonal
 matrix is the union of the block RREFs, so this gives the same bytes as the
@@ -26,20 +33,19 @@ When the quadratics are single monomials c_t e_a e_b covering every pair
 {a, b} exactly once (``unp_complex``, up to reordering and rescaling), S_w acts
 on the complex by chain automorphisms, so blocks of permuted multidegrees have
 equal rank.  Ranks-only Betti numbers then rank one block per orbit, the one
-of non-increasing multidegree, generated directly from the x-masks bucketed by
-degree sequence, and weight it by the orbit size.  Of each pair of those
-blocks made dual by the top-class pairing, which d never reaches, only one is
-ranked.
+of non-increasing multidegree, and weight it by the orbit size.  Its keys are
+gathered by code: for every e-mask S and every such multidegree mu at once,
+the x-masks whose code is code(mu) - code(S), by binary search in the sorted
+x-mask codes.  Of each pair of those blocks made dual by the top-class
+pairing, which d never reaches, only one is ranked.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, prod
-from operator import sub
+from math import comb
 
 import numpy as np
 
@@ -64,7 +70,7 @@ __all__ = [
     "unp_complex",
 ]
 
-HARD_SIZE_LIMIT = 22
+HARD_SIZE_LIMIT = 22  # w + r: C(22, 11) keys in one degree; multidegree codes below (r + 2)^w <= 2^48
 
 
 class BocksteinNotContained(ValueError):
@@ -126,10 +132,13 @@ class KoszulComplex:
     which case homology is still computed but the usual degree-1 dimension
     guarantee is off.  w + r <= HARD_SIZE_LIMIT bounds the keys of one degree
     (C(22, 11) = 705,432 tuples from ``_basis_bits``), which the dense-block
-    guard ``fplin.check_block`` in ``betti`` does not.
+    guard ``fplin.check_block`` in ``betti`` does not.  It also keeps every
+    multidegree code below (r + 2)^w <= 8^16 = 2^48 (the maximum, at w = 16
+    and r = 6), as each of its w digits is at most r + 1 (``_bit_codes``), so
+    the codes and their differences are exact in int64.
     """
 
-    __slots__ = ("w", "r", "p", "quadratics", "quadratics_independent", "ambient")
+    __slots__ = ("w", "r", "p", "quadratics", "quadratics_independent", "ambient", "_d_terms")
 
     def __init__(self, w: int, p, quadratics, *, force: bool = False):
         self.p = as_prime(p)
@@ -142,6 +151,7 @@ class KoszulComplex:
             raise InvalidInput(f"w + r = {self.w + self.r} exceeds the hard limit {HARD_SIZE_LIMIT}")
         self.ambient = Ambient(self.w, self.r, self.p)
         self.quadratics = tuple(self._embed(q) for q in quads)
+        self._d_terms = _quadratic_terms(self.quadratics)
         self.quadratics_independent = self._independent()
         if not self.quadratics_independent:
             if not force:
@@ -219,38 +229,70 @@ def canonicalize(k: KInvariantSubspace) -> KoszulComplex:
     return KoszulComplex(w, p, quads)
 
 
-def _diff_term(c: KoszulComplex, e_bits: int, x_bits: int) -> dict[tuple[int, int], int]:
-    """Differential of a single monomial as a term map (not reduced mod p)."""
-    out: dict[tuple[int, int], int] = {}
-    e_deg = e_bits.bit_count()
-    m = x_bits
-    pos = 1
-    while m:
-        low = m & -m
-        t = low.bit_length()
-        lead = -1 if (e_deg + pos - 1) & 1 else 1
-        rem_x = x_bits ^ low
-        for (qe, _), qc in c.quadratics[t - 1]._terms.items():
-            if qe & e_bits:
-                continue
-            # sorting e_a e_b (a < b) into e_S x_T passes the bits of S strictly between a and b
-            s = -1 if (e_bits & (qe - 2 * (qe & -qe))).bit_count() & 1 else 1
-            k = (qe | e_bits, rem_x)
-            out[k] = out.get(k, 0) + lead * s * qc
-        m ^= low
-        pos += 1
-    return out
+_PAIR_CHUNK = 1 << 16  # (key, quadratic term) pairs that ``_diff_triplets`` tests at once
+
+
+def _quadratic_terms(quadratics) -> tuple[np.ndarray, ...]:
+    """Every term c e_a e_b of every q_t as four int64 arrays: t, the mask of
+    e_a e_b, c, and a mask holding the e's strictly between a and b (plus e_a,
+    which no key that meets the term contains)."""
+    rows = [(t, qe, qc, qe - 2 * (qe & -qe)) for t, q in enumerate(quadratics) for (qe, _), qc in q._terms.items()]
+    return tuple(np.array(col, dtype=np.int64) for col in (zip(*rows) if rows else ((),) * 4))
+
+
+def _diff_triplets(c: KoszulComplex, eb: np.ndarray, xb: np.ndarray):
+    """d of the keys (eb[j], xb[j]) at once, as arrays (j, target e, target x, value).
+
+    One triplet per key e_S x_T, x_t in T and term c e_a e_b of q_t with
+    {a, b} disjoint from S; j is ascending.  The value is +-c, not reduced:
+    the sign of moving q_t to the front, (-1)^(|S| + |T below t|), times that
+    of sorting e_a e_b into e_S, (-1)^|S between a and b|, taken as the parity
+    of one bit count.  No two triplets of one key share a target.  Pairs are
+    broadcast ``_PAIR_CHUNK`` at a time.
+    """
+    t, qe, qc, mid = c._d_terms
+    step = max(1, _PAIR_CHUNK // max(1, t.size))
+    out = []
+    for lo in range(0, max(eb.size, 1), step):
+        e, x = eb[lo:lo + step], xb[lo:lo + step]
+        j, k = np.nonzero((x[:, None] >> t & 1).astype(bool) & (e[:, None] & qe == 0))
+        e, x, tk = e[j], x[j], t[k]
+        low = 1 << tk
+        odd = np.bitwise_count((x & (low - 1)) << c.w | e & ~mid[k]) & 1
+        out.append((j + lo, e | qe[k], x ^ low, np.where(odd, -qc[k], qc[k])))
+    return out[0] if len(out) == 1 else tuple(map(np.concatenate, zip(*out)))
+
+
+def _key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The e-masks and x-masks of a sequence of keys (e_bits, x_bits)."""
+    a = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    return a[:, 0], a[:, 1]
+
+
+def _find(ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The index in the distinct ``ids`` of each of ``targets``, all of which it holds."""
+    order = np.argsort(ids)
+    return order[np.searchsorted(ids[order], targets)]
 
 
 def differential(c: KoszulComplex, elem: ExtElement) -> ExtElement:
     """Apply the derivation d; raises total degree by one on each term."""
     if elem.ambient != c.ambient:
         raise AmbientMismatch(f"{elem.ambient} != {c.ambient}")
-    out: dict[tuple[int, int], int] = {}
-    for (eb, xb), coeff in elem._terms.items():
-        for k, v in _diff_term(c, eb, xb).items():
-            out[k] = out.get(k, 0) + coeff * v
-    return ExtElement(c.ambient, out)
+    j, e, x, v = _diff_triplets(c, *_key_arrays(list(elem._terms)))
+    if not j.size:
+        return c.ambient.zero()
+    coeff = np.fromiter(elem._terms.values(), dtype=np.int64, count=len(elem._terms))
+    v = v * coeff[j] % c.p  # each product of two residues is below 2**62: reduced before any sum
+    ids = x << c.w | e
+    order = np.argsort(ids, kind="stable")
+    ids, v = ids[order], v[order]
+    first = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    sums = np.add.reduceat(v, first) % c.p
+    nz = np.flatnonzero(sums)
+    ids = ids[first[nz]]
+    keys = zip((ids & ((1 << c.w) - 1)).tolist(), (ids >> c.w).tolist())
+    return ExtElement._from_residues(c.ambient, dict(zip(keys, sums[nz].tolist())))
 
 
 def _block_matrix(c: KoszulComplex, dom, cod) -> FpMatrix:
@@ -259,14 +301,8 @@ def _block_matrix(c: KoszulComplex, dom, cod) -> FpMatrix:
     ``cod`` must hold every key that d reaches from ``dom``: one grade of
     degree d + 1 does for the same grade of degree d.
     """
-    if dom:
-        fplin.check_block(len(cod), len(dom), f"degree {dom[0][0].bit_count() + dom[0][1].bit_count()}")
-    index = {key: i for i, key in enumerate(cod)}
-    a = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    for j, (eb, xb) in enumerate(dom):
-        for k, v in _diff_term(c, eb, xb).items():
-            a[index[k], j] = v
-    return FpMatrix(a, c.p)
+    d = dom[0][0].bit_count() + dom[0][1].bit_count() if dom else 0
+    return next(_degree_blocks(c, d, {0: dom}, {0: cod}, True))[2]
 
 
 def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
@@ -281,6 +317,30 @@ def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
     return _block_matrix(c, dom, cod)
 
 
+def _degree_blocks(c: KoszulComplex, d: int, dom: dict, cod: dict, every: bool):
+    """Yield (grade, keys, block of d) for each grade of the degree-d ``dom`` that
+    has keys in ``cod``, or for every grade when ``every``, in ``dom``'s order.
+
+    Every block passes ``fplin.check_block`` before the first is built; then d
+    of the whole degree comes from one ``_diff_triplets`` call, scattered per
+    grade, and each block is allocated only when it is yielded.
+    """
+    grades = [g for g in dom if every or g in cod]
+    for g in grades:
+        fplin.check_block(len(cod.get(g, ())), len(dom[g]), f"degree {d}")
+    col_start = np.cumsum([0] + [len(dom[g]) for g in grades])
+    row_start = np.cumsum([0] + [len(cod.get(g, ())) for g in grades])
+    j, e, x, vals = _diff_triplets(c, *_key_arrays([key for g in grades for key in dom[g]]))
+    ce, cx = _key_arrays([key for g in grades for key in cod.get(g, ())])
+    rows = _find(cx << c.w | ce, x << c.w | e)
+    cut = np.searchsorted(j, col_start)
+    for i, g in enumerate(grades):
+        a = np.zeros((row_start[i + 1] - row_start[i], col_start[i + 1] - col_start[i]), dtype=np.int64)
+        s = slice(cut[i], cut[i + 1])
+        a[rows[s] - row_start[i], j[s] - col_start[i]] = vals[s]
+        yield g, dom[g], FpMatrix(a, c.p)
+
+
 def _monomial_pairs(c: KoszulComplex):
     """The pair (a, b), a < b, of each quadratic c_t e_a e_b, or None unless all are single monomials."""
     pairs = []
@@ -292,31 +352,49 @@ def _monomial_pairs(c: KoszulComplex):
     return pairs
 
 
-def _x_degrees(c: KoszulComplex, pairs) -> list[tuple[int, ...]]:
-    """The multidegree of every x-mask T, indexed by T: the sum of eps_a + eps_b
-    over the pairs (a, b) of the x_t in T."""
-    degrees = [(0,) * c.w]
-    for xb in range(1, 1 << c.r):
-        deg = list(degrees[xb & (xb - 1)])
-        a, b = pairs[(xb & -xb).bit_length() - 1]
-        deg[a] += 1
-        deg[b] += 1
-        degrees.append(tuple(deg))
-    return degrees
+def _bit_codes(c: KoszulComplex, pairs) -> list[int]:
+    """The multidegree code of each generator, e_1..e_w then x_1..x_r, given the
+    pair (a, b) of each quadratic; a key's code is the sum over its factors.
+
+    The code of the Z^w multidegree (e_i -> eps_i, x_t -> eps_a + eps_b) has
+    digit i in base r + 2: a digit counts e_i at most once and the x_t through
+    i at most r times, so sums never carry and every code is below
+    (r + 2)^w <= 2^48 (see ``HARD_SIZE_LIMIT``).
+    """
+    base = c.r + 2
+    return [base ** i for i in range(c.w)] + [base ** a + base ** b for a, b in pairs]
+
+
+def _subset_sums(codes) -> np.ndarray:
+    """The sum of ``codes[i]`` over the set bits i of every mask below 2^len(codes), indexed by mask."""
+    sums = np.zeros(1, dtype=np.int64)
+    for code in codes:
+        sums = np.concatenate((sums, sums + code))
+    return sums
 
 
 def _grading(c: KoszulComplex):
-    """A grade of the basis keys (e_bits, x_bits) that d preserves.
+    """A grade of the basis keys (e_bits, x_bits) that d preserves, as an integer.
 
-    When every quadratic is a single monomial c e_a e_b this is the Z^w
-    multidegree, e_i -> eps_i and x_t -> eps_a + eps_b, as a tuple.  Otherwise
-    it is the internal weight |S| + 2|T| of e_S x_T.
+    When every quadratic is a single monomial c e_a e_b this is the code of
+    the Z^w multidegree, e_i -> eps_i and x_t -> eps_a + eps_b (``_bit_codes``);
+    otherwise the internal weight |S| + 2|T| of e_S x_T.
     """
     pairs = _monomial_pairs(c)
     if pairs is None:
         return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
-    x_degrees = _x_degrees(c, pairs)
-    return lambda key: tuple(m + (key[0] >> i & 1) for i, m in enumerate(x_degrees[key[1]]))
+    codes = _bit_codes(c, pairs)
+    w = c.w
+
+    def grade(key):
+        m, g = key[1] << w | key[0], 0
+        while m:
+            low = m & -m
+            g += codes[low.bit_length() - 1]
+            m ^= low
+        return g
+
+    return grade
 
 
 def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
@@ -325,48 +403,73 @@ def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
     Then S_w acts on the complex by chain automorphisms (rescale each x_t by
     c_t, permute the e_i, send x_ab to +-x_(sigma a)(sigma b)), so the blocks of
     multidegrees mu and sigma mu have equal rank at every p.  Only the blocks
-    of non-increasing mu are built, each from the x-masks T whose degree
-    sequence is mu - 1_S, and each rank counts w!/prod m_k! times, m_k being
-    the multiplicities of the entries of mu.
+    of non-increasing mu are built, and each rank counts w!/prod m_k! times,
+    m_k being the multiplicities of the entries of mu.  The keys are gathered
+    by multidegree code (``_bit_codes``): the keys of mu are the e_S x_T with
+    code(T) = code(mu) - code(S), found for all 2^w e-masks S and all mu at
+    once by binary search in the sorted codes of the 2^r x-masks.  A
+    difference that borrows has a digit r + 1, which no x-mask code has.  d of
+    every built block comes from one ``_diff_triplets`` call.
 
     Poincare duality (Lambrechts and Stanley, Ann. Sci. ENS 41, 2008) halves
     that: the top coefficient of a b pairs each key with +-its complement, mu
     with w - mu, and d never reaches the top class (the only key of weight
     w + 2r), so d_(top-1-d) is +-the transpose of the derivation d_d.  The
     block of d_d at mu has the rank of the block of d_(top-1-d) at
-    mu* = (w - mu) reversed, with the multiplicities of mu.  A mu* met after
-    mu copies its ranks with d -> top-1-d and builds nothing; a self-dual mu
-    ranks only d <= top-1-d.
+    mu* = (w - mu) reversed, with the multiplicities of mu.  Of mu and mu*
+    only the one listed first is built, its ranks counting for both; a
+    self-dual mu ranks only d <= top-1-d.
     """
-    w = c.w
-    by_degree: dict[tuple, list[int]] = {}
-    for xb, deg in enumerate(_x_degrees(c, pairs)):
-        by_degree.setdefault(deg, []).append(xb)
-    e_degrees = [tuple(eb >> i & 1 for i in range(w)) for eb in range(1 << w)]
-    top = c.top_degree
+    w, top = c.w, c.top_degree
+    codes = _bit_codes(c, pairs)
+    digits = np.array(codes[:w], dtype=np.int64)
+    mus = list(combinations_with_replacement(range(w, -1, -1), w))
+    mus = np.array(mus, dtype=np.int64).reshape(len(mus), w)
+    mu_codes = mus @ digits
+    index = {code: k for k, code in enumerate(mu_codes.tolist())}
+    star = np.array([index[code] for code in ((w - mus[:, ::-1]) @ digits).tolist()], dtype=np.int64)
+    built = np.flatnonzero(star >= np.arange(len(mus)))  # of mu and mu*, the one listed first
+    fact = np.cumprod(np.concatenate(([1], np.arange(1, w + 1))))
+    orbit = fact[w] // fact[(mus[built, :, None] == np.arange(w + 1)).sum(axis=1)].prod(axis=1)
+
+    # every key e_S x_T of a built mu, ordered by block (mu, degree |S| + |T|)
+    x_codes = _subset_sums(codes[w:])
+    x_order = np.argsort(x_codes)
+    x_codes = x_codes[x_order]
+    need = mu_codes[built, None] - _subset_sums(codes[:w])  # code(T) for each (built mu, S)
+    lo = np.searchsorted(x_codes, need)
+    hits = np.searchsorted(x_codes, need, side="right") - lo
+    k, eb = np.nonzero(hits)
+    n = hits[k, eb]
+    xb = x_order[np.repeat(lo[k, eb] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    k, eb = np.repeat(k, n), np.repeat(eb, n)
+    block = k * (top + 2) + (mus[built].sum(axis=1)[k] + np.bitwise_count(eb)) // 2
+    order = np.argsort(block)
+    eb, xb = eb[order], xb[order]
+    blocks, start, size = np.unique(block[order], return_index=True, return_counts=True)
+    k, deg = np.divmod(blocks, top + 2)
+
+    # the block (mu, d) -> (mu, d + 1), next in order, wherever that has keys
+    ranked = np.append(blocks[1:] == blocks[:-1] + 1, False)
+    self_dual = star[built[k]] == built[k]
+    ranked &= ~self_dual | (2 * deg <= top - 1)
+    for i in np.flatnonzero(ranked):
+        fplin.check_block(int(size[i + 1]), int(size[i]), f"degree {deg[i]}")
+    dom = np.flatnonzero(np.repeat(ranked, size))
+    j, te, tx, vals = _diff_triplets(c, eb[dom], xb[dom])
+    cols, rows = dom[j], _find(xb << w | eb, tx << w | te)
+    cut = np.searchsorted(cols, np.append(start, eb.size))
+
     ranks = [0] * (top + 1)
-    dual_ranks: dict[tuple, dict[int, int]] = {}  # block ranks by d of each mu whose mu* is to come
-    for mu in combinations_with_replacement(range(w, -1, -1), w):
-        orbit = factorial(w) // prod(map(factorial, Counter(mu).values()))
-        mu_star = tuple(w - m for m in reversed(mu))
-        if mu_star in dual_ranks:
-            for d, rank in dual_ranks.pop(mu_star).items():
-                ranks[top - 1 - d] += orbit * rank
-            continue
-        by_d: dict[int, list] = {}
-        for eb, e_deg in enumerate(e_degrees):
-            xbs = by_degree.get(tuple(map(sub, mu, e_deg)))
-            if xbs:  # every T in one bucket has |T| = |mu - 1_S| / 2, so one degree
-                by_d.setdefault(eb.bit_count() + xbs[0].bit_count(), []).extend((eb, xb) for xb in xbs)
-        block_ranks = {}
-        for d, keys in by_d.items():
-            if d + 1 in by_d and (mu_star != mu or 2 * d <= top - 1):
-                block_ranks[d] = rank = fplin.rank(_block_matrix(c, keys, by_d[d + 1]))
-                ranks[d] += orbit * rank
-                if mu_star == mu and 2 * d < top - 1:
-                    ranks[top - 1 - d] += orbit * rank
-        if mu_star != mu:
-            dual_ranks[mu] = block_ranks
+    for i in np.flatnonzero(ranked).tolist():
+        a = np.zeros((size[i + 1], size[i]), dtype=np.int64)
+        s = slice(cut[i], cut[i + 1])
+        a[rows[s] - start[i + 1], cols[s] - start[i]] = vals[s]
+        rank = int(orbit[k[i]]) * fplin.rank(FpMatrix(a, c.p))
+        d = int(deg[i])
+        ranks[d] += rank
+        if not self_dual[i] or 2 * d < top - 1:
+            ranks[top - 1 - d] += rank
     return ranks
 
 
@@ -484,10 +587,12 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     incoming boundaries (the pivot columns of the previous degree's block), as
     ``fplin.quotient_representatives`` does, and the representatives are
     merged in the canonical order of their source cycle's free column, the
-    order one full-degree matrix would give.  A block over ``fplin.BLOCK_CAP``
-    raises ``fplin.BudgetExceeded`` before it is built, naming its degree and
-    shape (``fplin.check_block``).  ``workers`` is accepted for compatibility
-    and ignored: degrees always run serially.
+    order one full-degree matrix would give.  Each degree's blocks come from
+    one ``_diff_triplets`` call (``_degree_blocks``).  A block over
+    ``fplin.BLOCK_CAP`` raises ``fplin.BudgetExceeded`` before any block of
+    its degree is built, naming its degree and shape (``fplin.check_block``).
+    ``workers`` is accepted for compatibility and ignored: degrees always run
+    serially.
     """
     top = c.top_degree
     pairs = _monomial_pairs(c)
@@ -502,12 +607,10 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     for d in range(top + 1):
         dom, cod = cod, _graded_basis(c, d + 1, grade)
         rank, outgoing, found, blocks = 0, {}, [], {}
-        for g, keys in dom.items():
-            rows = cod.get(g, ())
+        for g, keys, m in _degree_blocks(c, d, dom, cod, with_representatives):
             if not with_representatives:
-                rank += fplin.rank(_block_matrix(c, keys, rows)) if rows else 0
+                rank += fplin.rank(m)
                 continue
-            m = _block_matrix(c, keys, rows)
             ker, free, piv = fplin._kernel(m)
             rank += len(piv)
             outgoing[g] = m.entries[:, piv].T  # independent columns spanning the image

@@ -7,14 +7,17 @@ The degree-i dimension for n generators is a sum of hook-content evaluations
 
 where h is the hook length.  Self-conjugate diagrams with f diagonal boxes
 biject with partitions into f distinct odd parts (unfold the diagonal hooks),
-which is how enumeration works here.  Everything is exact: the product is a
-Fraction whose denominator must cancel.
+which is how enumeration works here.  A diagram with more than n rows has a
+cell of content -n, so it contributes 0; its first odd part, twice its row
+count less one, then exceeds 2n - 1, which is how ``unp_betti`` prunes it.
+Everything is exact: the product is taken as an integer numerator (the
+contents) over an integer denominator (the hooks), and the division must
+leave no remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 __all__ = [
@@ -108,23 +111,35 @@ def hook_content_dimension(part: SelfConjugatePartition, n: int) -> int:
     NonIntegerResult if the denominator fails to cancel (never expected).
     """
     parts = part.parts
-    if len(parts) > n:
-        return 0
+    return _hook_content(parts, n) if len(parts) <= n else 0
+
+
+def _hook_content(parts: tuple[int, ...], n: int) -> int:
+    """``hook_content_dimension`` of a diagram with at most n rows, as
+    (product of contents) // (product of hooks) with the remainder checked."""
     conj = _conjugate(parts)
-    acc = Fraction(1)
+    num = den = 1
     for s, row_len in enumerate(parts, 1):
         for t in range(1, row_len + 1):
-            hook = (row_len - t) + (conj[t - 1] - s) + 1
-            acc *= Fraction(n + t - s, hook)
-    if acc.denominator != 1:
-        raise NonIntegerResult(f"hook-content product {acc} for {parts}, n={n}")
-    return int(acc)
+            num *= n + t - s
+            den *= (row_len - t) + (conj[t - 1] - s) + 1
+    q, rem = divmod(num, den)
+    if rem:
+        raise NonIntegerResult(f"hook-content product {num}/{den} for {parts}, n={n}")
+    return q
+
+
+def _row_bounded(size: int, diagonal: int, n: int):
+    """The self-conjugate diagrams of ``size`` with ``diagonal`` diagonal cells
+    and at most n rows: first odd part at most 2n - 1."""
+    return map(_fold, _distinct_odd(size, diagonal, 2 * n - 1))
 
 
 def unp_betti(n: int) -> list[int]:
     """Dimensions a_0..a_m for the universal extension on n generators, m = C(n+1, 2).
 
-    Capped at n <= DEFAULT_N_CAP (8) since the diagram count grows quickly.
+    Only diagrams with at most n rows are enumerated (``_row_bounded``); the
+    others contribute 0.  Capped at n <= DEFAULT_N_CAP (8).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -134,12 +149,9 @@ def unp_betti(n: int) -> list[int]:
     out = [0] * (m + 1)
     out[0] = 1
     for i in range(1, m + 1):
-        total = 0
-        for f in range(0, i + 1):
-            g = i - f
-            for sc in enumerate_self_conjugate(f + 2 * g, f):
-                total += hook_content_dimension(sc, n)
-        out[i] = total
+        out[i] = sum(
+            _hook_content(parts, n) for f in range(i + 1) for parts in _row_bounded(f + 2 * (i - f), f, n)
+        )
     return out
 
 

@@ -10,7 +10,7 @@ from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, di
 from frattini.bocksteindga import BigradedElement, Generators, _monomials_up_to, _mul_term_dicts, bockstein
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, solve
-from frattini.koszul import _block_matrix, _graded_basis, _grading
+from frattini.koszul import _graded_basis, _grading
 from frattini.pgroups import ConstraintViolation, VerificationReport
 
 
@@ -161,15 +161,65 @@ def reference_betti(c):
     return tuple(dims), tuple(reps_by_degree), mats
 
 
+def reference_diff_term(c, e_bits, x_bits):
+    """d of the one monomial e_S x_T as a term map (not reduced mod p), one x_t
+    of T and one term of q_t at a time."""
+    out = {}
+    e_deg = e_bits.bit_count()
+    m = x_bits
+    pos = 1
+    while m:
+        low = m & -m
+        t = low.bit_length()
+        lead = -1 if (e_deg + pos - 1) & 1 else 1
+        rem_x = x_bits ^ low
+        for (qe, _), qc in c.quadratics[t - 1]._terms.items():
+            if qe & e_bits:
+                continue
+            # sorting e_a e_b (a < b) into e_S x_T passes the bits of S strictly between a and b
+            s = -1 if (e_bits & (qe - 2 * (qe & -qe))).bit_count() & 1 else 1
+            k = (qe | e_bits, rem_x)
+            out[k] = out.get(k, 0) + lead * s * qc
+        m ^= low
+        pos += 1
+    return out
+
+
+def reference_block_matrix(c, dom, cod):
+    """``koszul._block_matrix`` filled one key at a time from ``reference_diff_term``."""
+    index = {key: i for i, key in enumerate(cod)}
+    a = np.zeros((len(cod), len(dom)), dtype=np.int64)
+    for j, (eb, xb) in enumerate(dom):
+        for k, v in reference_diff_term(c, eb, xb).items():
+            a[index[k], j] = v
+    return FpMatrix(a, c.p)
+
+
+def reference_differential(c, elem):
+    """``koszul.differential`` summed over the terms with Python integers."""
+    out = {}
+    for (eb, xb), coeff in elem._terms.items():
+        for k, v in reference_diff_term(c, eb, xb).items():
+            out[k] = out.get(k, 0) + coeff * v
+    return ExtElement(c.ambient, out)
+
+
+def multidegree(c, code):
+    """The Z^w multidegree tuple of a ``koszul._grading`` code: its w digits in base r + 2."""
+    base = c.r + 2
+    return tuple(code // base ** i % base for i in range(c.w))
+
+
 def reference_block_dims(c):
-    """Betti numbers from the rank of every (degree, grade) block of ``_grading``:
-    the all-blocks walk, with no orbit reduction."""
+    """Betti numbers from the rank of every (degree, grade) block of ``_grading``,
+    each built by ``reference_block_matrix``: the all-blocks walk, with no orbit
+    reduction and no shared differential kernel."""
     grade = _grading(c)
     top = c.top_degree
     ranks = []
     for d in range(top + 1):
         dom, cod = _graded_basis(c, d, grade), _graded_basis(c, d + 1, grade)
-        ranks.append(sum(fplin.rank(_block_matrix(c, keys, cod[g])) for g, keys in dom.items() if g in cod))
+        ranks.append(sum(fplin.rank(reference_block_matrix(c, keys, cod[g])) for g, keys in dom.items() if g in cod))
     sizes = [len(_basis_bits(c.w, c.r, d)) for d in range(top + 1)]
     return tuple(sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1))
 

@@ -31,8 +31,11 @@ from frattini.extalg import ExtElement, _basis_bits, _merge_sign
 from frattini.younghook import unp_betti
 
 from helpers import (
+    multidegree,
     random_complex,
     reference_block_dims,
+    reference_block_matrix,
+    reference_differential,
     random_element,
     random_quadratic,
     reference_betti,
@@ -292,8 +295,10 @@ def forced_complex(w, p, quads):
 
 
 def is_multidegree(c):
-    grade = koszul._grading(c)((0, (1 << c.r) - 1))
-    return isinstance(grade, tuple) and len(grade) == c.w
+    """Whether ``_grading`` codes the multidegree: e_i has code (r + 2)^i (always
+    so at w = 1, where the weight is the multidegree)."""
+    grade = koszul._grading(c)
+    return all(grade((1 << i, 0)) == (c.r + 2) ** i for i in range(c.w))
 
 
 @pytest.mark.parametrize("p", [3, 7, 2147483647])
@@ -414,8 +419,77 @@ def test_diff_term_sign_is_one_bit_count():
             if s & qe:
                 continue
             lead = -1 if s.bit_count() & 1 else 1  # x_1 is the first factor of x_1 x_2
-            got = koszul._diff_term(c, s, 0b11)[(qe | s, 0b10)]
-            assert got == lead * _merge_sign(qe, s | 0b10 << w), (a, b, s)
+            j, te, tx, vals = koszul._diff_triplets(c, np.array([s]), np.array([0b11]))
+            (hit,) = np.flatnonzero((te == qe | s) & (tx == 0b10))
+            assert vals[hit] == lead * _merge_sign(qe, s | 0b10 << w), (a, b, s)
+
+
+def monomial_complex(rng, w, p, r):
+    """r single-monomial quadratics c e_a e_b over random pairs (repeats allowed), c in [2, p)."""
+    amb = Ambient(w, 0, p)
+    quads = []
+    for _ in range(r):
+        a, b = sorted(rng.sample(range(w), 2))
+        quads.append(ExtElement(amb, {((1 << a) | (1 << b), 0): rng.randrange(2, p)}))
+    return forced_complex(w, p, quads)
+
+
+def seeded_complexes(seed):
+    """Generic, monomial and forced (dependent) complexes at p = 3, 11 and 2^31 - 1,
+    every coefficient drawn from [1, p) so most differ from 1."""
+    rng = random.Random(seed)
+    out = []
+    for p in (3, 11, 2147483647):
+        out.append(generic_complex(5, 3, p, seed=rng.randrange(10**6)))
+        out.append(monomial_complex(rng, 5, p, 6))
+        q = random_quadratic(rng, 4, p)
+        out.append(forced_complex(4, p, [q, 2 * q, random_quadratic(rng, 4, p)]))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_matrix_and_differential_match_the_reference(seed):
+    """``_block_matrix`` (every degree and every grade block) and ``differential``
+    against the one-key-at-a-time reference d."""
+    rng = random.Random(seed)
+    for c in seeded_complexes(seed):
+        assert any(v != 1 for q in c.quadratics for v in q._terms.values())
+        grade = koszul._grading(c)
+        for d in range(-1, c.top_degree + 2):
+            dom = _basis_bits(c.w, c.r, d) if 0 <= d <= c.top_degree else ()
+            cod = _basis_bits(c.w, c.r, d + 1) if 0 <= d + 1 <= c.top_degree else ()
+            assert differential_matrix(c, d) == reference_block_matrix(c, dom, cod), (c, d)
+            blocks = koszul._graded_basis(c, d + 1, grade)
+            for g, keys in koszul._graded_basis(c, d, grade).items():
+                rows = blocks.get(g, [])
+                assert koszul._block_matrix(c, keys, rows) == reference_block_matrix(c, keys, rows), (c, d, g)
+        for _ in range(5):
+            elem = random_element(rng, c.ambient, density=0.4)
+            assert differential(c, elem) == reference_differential(c, elem), c
+        assert differential(c, c.ambient.zero()).is_zero()
+
+
+def test_differential_sums_products_near_the_modulus_cap(rng):
+    """Quadratic and element coefficients near p = 2^31 - 1, so that three
+    products of one sign hitting one key would overflow int64 when summed:
+    every product is reduced before the sum."""
+    p = 2147483647
+    amb = Ambient(4, 0, p)
+    quads = [ExtElement(amb, {(eb, 0): rng.randrange(p - 10, p) for eb, _ in _basis_bits(4, 0, 2)}) for _ in range(4)]
+    c = forced_complex(4, p, quads)
+    for d in range(c.top_degree):
+        elem = ExtElement(c.ambient, {key: rng.randrange(p - 10, p) for key in _basis_bits(4, 4, d)})
+        assert differential(c, elem) == reference_differential(c, elem), d
+
+
+def test_diff_triplets_chunks_agree_with_one_pass(monkeypatch):
+    """A pair budget of one key per chunk gives the triplets of the single pass."""
+    c = generic_complex(5, 4, 7, seed=11)
+    eb, xb = koszul._key_arrays(_basis_bits(5, 4, 4))
+    whole = koszul._diff_triplets(c, eb, xb)
+    monkeypatch.setattr(koszul, "_PAIR_CHUNK", 1)
+    chunked = koszul._diff_triplets(c, eb, xb)
+    assert whole[0].size > 0 and all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
 def generic_complex(w, r, p, seed):
@@ -824,8 +898,9 @@ def sorted_block_ranks(c):
     for d in range(c.top_degree + 1):
         dom, cod = cod, koszul._graded_basis(c, d + 1, grade)
         for g, keys in dom.items():
-            if g in cod and list(g) == sorted(g, reverse=True):
-                ranks[d, g] = fplin.rank(koszul._block_matrix(c, keys, cod[g]))
+            mu = multidegree(c, g)
+            if g in cod and list(mu) == sorted(mu, reverse=True):
+                ranks[d, mu] = fplin.rank(koszul._block_matrix(c, keys, cod[g]))
     return ranks
 
 
@@ -874,8 +949,9 @@ def test_orbit_ranks_one_block_per_sorted_multidegree(monkeypatch):
         for g in koszul._graded_basis(c, d, grade):
             if g in cod:
                 blocks += 1
-                if list(g) == sorted(g, reverse=True):
-                    sorted_blocks.add((d, g))
+                mu = multidegree(c, g)
+                if list(mu) == sorted(mu, reverse=True):
+                    sorted_blocks.add((d, mu))
     self_dual = sum(dual_block(c, d, g) == (d, g) for d, g in sorted_blocks)
     assert (blocks, len(sorted_blocks), self_dual) == (3308, 152, 0)
     assert all(dual_block(c, d, g) in sorted_blocks for d, g in sorted_blocks)

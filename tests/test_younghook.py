@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from frattini.younghook import (
     _conjugate,
     _distinct_odd,
     _fold,
+    _row_bounded,
     closed_form,
     enumerate_self_conjugate,
     hook_content_dimension,
@@ -83,6 +85,44 @@ def test_unp_betti_properties():
         assert a == a[::-1]
         assert sum((-1) ** i * c for i, c in enumerate(a)) == 0
         assert a[0] == 1 and a[1] == n
+
+
+def reference_unp_betti(n):
+    """``unp_betti`` over every self-conjugate diagram, pruned or not, each
+    hook-content product accumulated cell by cell as a Fraction."""
+    m = comb(n + 1, 2)
+    out = []
+    for i in range(m + 1):
+        total = Fraction(0)
+        for f in range(i + 1):
+            for sc in enumerate_self_conjugate(f + 2 * (i - f), f):
+                conj, acc = _conjugate(sc.parts), Fraction(1)
+                for s, row_len in enumerate(sc.parts, 1):
+                    for t in range(1, row_len + 1):
+                        acc *= Fraction(n + t - s, (row_len - t) + (conj[t - 1] - s) + 1)
+                total += acc
+        assert total.denominator == 1
+        out.append(int(total))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pruned_unp_betti_equals_the_full_enumeration(n):
+    assert unp_betti(n) == reference_unp_betti(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pruned_diagrams_are_exactly_those_with_at_most_n_rows(n):
+    m = comb(n + 1, 2)
+    for i in range(m + 1):
+        for f in range(i + 1):
+            size = f + 2 * (i - f)
+            pruned = list(_row_bounded(size, f, n))
+            assert all(len(parts) <= n for parts in pruned)
+            full = [sc.parts for sc in enumerate_self_conjugate(size, f)]
+            assert sorted(pruned) == sorted(parts for parts in full if len(parts) <= n)
+            assert all(hook_content_dimension(SelfConjugatePartition(parts), n) == 0
+                       for parts in full if len(parts) > n)
 
 
 def test_unp_betti_cap():
