@@ -263,7 +263,7 @@ def _kernel(m: FpMatrix) -> tuple[np.ndarray, np.ndarray, list[int]]:
     The basis is the identity on the free columns: an echelon basis on them for
     ``_reduce_rows``."""
     R, piv = _echelon(m.entries, m.p, reduced=True)
-    free = np.setdiff1d(np.arange(m.cols), piv)
+    free = np.delete(np.arange(m.cols), piv)  # drops the pivots through a boolean mask, no sort
     k = np.zeros((free.size, m.cols), dtype=R.dtype)
     k[np.arange(free.size), free] = 1
     k[:, piv] = (-R[:len(piv)][:, free].T) % int(m.p)

@@ -9,25 +9,31 @@ e-variables.  On a monomial with T = {t_1 < ... < t_k}:
 Homology in each degree is ker d / im d, computed by exact F_p elimination;
 representatives are canonical, so repeated runs agree byte for byte.
 
-There is one implementation of d, ``_diff_triplets``: it takes many keys as
-arrays and returns every term of their differentials at once, as (column,
-target e-mask, target x-mask, value), its signs from bit counts.  Matrices,
-blocks and ``differential`` are all scattered from it.
+A key e_S x_T is one int64 id, x << w | e for its x-mask x and e-mask e;
+ascending ids are the canonical order.  There is one implementation of d,
+``_diff_triplets``: it takes many ids as an array and returns every term of
+their differentials at once, as (column, target id, value), its signs from
+bit counts.  ``_blocks`` scatters it into every matrix (each block, and
+``differential_matrix``), and ``differential`` sums it.
 
 d preserves a grading of the basis, so each degree's matrix is block-diagonal:
 the internal weight |S| + 2|T| of e_S x_T always, and the finer Z^w
 multidegree (e_i -> eps_i, x_t -> eps_a + eps_b) when every quadratic q_t is a
-single monomial c e_a e_b, as for ``unp_complex``.  A grade is one integer:
-the multidegree is coded with digit i in base r + 2, which no sum of keys
-carries.  Betti numbers, the
-representatives and the reduction of cocycles to classes all work one grade
-block at a time; no full-degree matrix is built.  The RREF of a block-diagonal
-matrix is the union of the block RREFs, so this gives the same bytes as the
-full matrices would.  Each block is eliminated twice: the RREF of its outgoing
-matrix gives its cycles and, at its pivot columns, independent boundaries of
-the next degree; the RREF of those is kept, as the canonical representative of
-a cocycle's class is its normal form modulo the boundaries (zero on that
-RREF's pivots), which cup products compute with one reduction per block.
+single monomial c e_a e_b, as for ``unp_complex``.  A key's grade is one
+integer, the sum of its generators' codes (``_grades``): 1 for an e and 2 for
+an x, or the multidegree with digit i in base r + 2, which no sum of keys
+carries.  ``betti`` lays out every key of the complex at once, by degree and
+then by grade (``_layout``), so every block's shape is known, and checked
+against the dense-block cap, before the first is eliminated.  Betti numbers,
+the representatives and the reduction of cocycles to classes all work one
+grade block at a time; no full-degree matrix is built.  The RREF of a
+block-diagonal matrix is the union of the block RREFs, so this gives the same
+bytes as the full matrices would.  Each block is eliminated twice: the RREF
+of its outgoing matrix gives its cycles and, at its pivot columns,
+independent boundaries of the next degree; the RREF of those is kept, as the
+canonical representative of a cocycle's class is its normal form modulo the
+boundaries (zero on that RREF's pivots), which cup products compute with one
+reduction per block.
 
 When the quadratics are single monomials c_t e_a e_b covering every pair
 {a, b} exactly once (``unp_complex``, up to reordering and rescaling), S_w acts
@@ -130,12 +136,12 @@ class KoszulComplex:
 
     Quadratics are rejected when linearly dependent unless force=True, in
     which case homology is still computed but the usual degree-1 dimension
-    guarantee is off.  w + r <= HARD_SIZE_LIMIT bounds the keys of one degree
-    (C(22, 11) = 705,432 tuples from ``_basis_bits``), which the dense-block
-    guard ``fplin.check_block`` in ``betti`` does not.  It also keeps every
-    multidegree code below (r + 2)^w <= 8^16 = 2^48 (the maximum, at w = 16
-    and r = 6), as each of its w digits is at most r + 1 (``_bit_codes``), so
-    the codes and their differences are exact in int64.
+    guarantee is off.  w + r <= HARD_SIZE_LIMIT bounds the 2^22 keys of
+    ``betti``'s layout, which the dense-block guard ``fplin.check_block`` on
+    its blocks does not.  It also keeps every multidegree code below
+    (r + 2)^w <= 8^16 = 2^48 (the maximum, at w = 16 and r = 6), as each of
+    its w digits is at most r + 1 (``_bit_codes``), so the codes and their
+    differences are exact in int64.
     """
 
     __slots__ = ("w", "r", "p", "quadratics", "quadratics_independent", "ambient", "_d_terms")
@@ -240,8 +246,8 @@ def _quadratic_terms(quadratics) -> tuple[np.ndarray, ...]:
     return tuple(np.array(col, dtype=np.int64) for col in (zip(*rows) if rows else ((),) * 4))
 
 
-def _diff_triplets(c: KoszulComplex, eb: np.ndarray, xb: np.ndarray):
-    """d of the keys (eb[j], xb[j]) at once, as arrays (j, target e, target x, value).
+def _diff_triplets(c: KoszulComplex, ids: np.ndarray):
+    """d of the keys ids[j] = x << w | e at once, as arrays (j, target id, value).
 
     One triplet per key e_S x_T, x_t in T and term c e_a e_b of q_t with
     {a, b} disjoint from S; j is ascending.  The value is +-c, not reduced:
@@ -251,22 +257,31 @@ def _diff_triplets(c: KoszulComplex, eb: np.ndarray, xb: np.ndarray):
     broadcast ``_PAIR_CHUNK`` at a time.
     """
     t, qe, qc, mid = c._d_terms
+    t = t + c.w  # the bit of x_t in an id
     step = max(1, _PAIR_CHUNK // max(1, t.size))
     out = []
-    for lo in range(0, max(eb.size, 1), step):
-        e, x = eb[lo:lo + step], xb[lo:lo + step]
-        j, k = np.nonzero((x[:, None] >> t & 1).astype(bool) & (e[:, None] & qe == 0))
-        e, x, tk = e[j], x[j], t[k]
-        low = 1 << tk
-        odd = np.bitwise_count((x & (low - 1)) << c.w | e & ~mid[k]) & 1
-        out.append((j + lo, e | qe[k], x ^ low, np.where(odd, -qc[k], qc[k])))
+    for lo in range(0, max(ids.size, 1), step):
+        k = ids[lo:lo + step]
+        j, q = np.nonzero((k[:, None] >> t & 1).astype(bool) & (k[:, None] & qe == 0))
+        k, low = k[j], 1 << t[q]
+        odd = np.bitwise_count(k & (low - 1) & ~mid[q]) & 1
+        out.append((j + lo, k ^ low | qe[q], np.where(odd, -qc[q], qc[q])))
     return out[0] if len(out) == 1 else tuple(map(np.concatenate, zip(*out)))
 
 
-def _key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
-    """The e-masks and x-masks of a sequence of keys (e_bits, x_bits)."""
-    a = np.array(keys, dtype=np.int64).reshape(-1, 2)
-    return a[:, 0], a[:, 1]
+def _term_ids(c: KoszulComplex, elem: ExtElement) -> tuple[np.ndarray, np.ndarray]:
+    """The ids x << w | e of elem's terms and their coefficients, as arrays."""
+    n = len(elem._terms)
+    ids = np.fromiter((x << c.w | e for e, x in elem._terms), dtype=np.int64, count=n)
+    return ids, np.fromiter(elem._terms.values(), dtype=np.int64, count=n)
+
+
+def _residue_terms(c: KoszulComplex, ids: np.ndarray, rows: np.ndarray) -> list[dict]:
+    """The term map of each row of residues over the keys ``ids``, in that order, read in one step."""
+    i, j = np.nonzero(rows)
+    keys, vals = list(zip((ids[j] & (1 << c.w) - 1).tolist(), (ids[j] >> c.w).tolist())), rows[i, j].tolist()
+    cut = np.searchsorted(i, np.arange(len(rows) + 1)).tolist()
+    return [dict(zip(keys[a:b], vals[a:b])) for a, b in zip(cut, cut[1:])]
 
 
 def _find(ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -279,30 +294,43 @@ def differential(c: KoszulComplex, elem: ExtElement) -> ExtElement:
     """Apply the derivation d; raises total degree by one on each term."""
     if elem.ambient != c.ambient:
         raise AmbientMismatch(f"{elem.ambient} != {c.ambient}")
-    j, e, x, v = _diff_triplets(c, *_key_arrays(list(elem._terms)))
+    ids, coeff = _term_ids(c, elem)
+    j, ids, v = _diff_triplets(c, ids)
     if not j.size:
         return c.ambient.zero()
-    coeff = np.fromiter(elem._terms.values(), dtype=np.int64, count=len(elem._terms))
     v = v * coeff[j] % c.p  # each product of two residues is below 2**62: reduced before any sum
-    ids = x << c.w | e
     order = np.argsort(ids, kind="stable")
     ids, v = ids[order], v[order]
     first = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
     sums = np.add.reduceat(v, first) % c.p
-    nz = np.flatnonzero(sums)
-    ids = ids[first[nz]]
-    keys = zip((ids & ((1 << c.w) - 1)).tolist(), (ids >> c.w).tolist())
-    return ExtElement._from_residues(c.ambient, dict(zip(keys, sums[nz].tolist())))
+    return ExtElement._from_residues(c.ambient, _residue_terms(c, ids[first], sums[None])[0])
 
 
-def _block_matrix(c: KoszulComplex, dom, cod) -> FpMatrix:
-    """Matrix of d from the keys ``dom`` to the keys ``cod``, columns and rows in that order.
+def _guard(rows, cols, degrees) -> None:
+    """Refuse the first R x C block over the cap (``fplin.check_block``), naming its degree;
+    callers pass every block they will build before they eliminate any."""
+    for r, k, d in zip(*(np.asarray(a).tolist() for a in (rows, cols, degrees))):
+        fplin.check_block(r, k, f"degree {d}")
 
-    ``cod`` must hold every key that d reaches from ``dom``: one grade of
-    degree d + 1 does for the same grade of degree d.
+
+def _blocks(c: KoszulComplex, ids: np.ndarray, start: np.ndarray, dom, cod):
+    """Yield the matrix of d from block dom[i] to block cod[i] of ``ids``, for each i.
+
+    Block k is ids[start[k]:start[k + 1]], its columns or rows in that order.
+    ``dom`` ascends; cod[i] holds every key that d reaches from dom[i], and is
+    -1 when d reaches none.  d of every domain key comes from one
+    ``_diff_triplets`` call, and each block is allocated only when it is yielded.
     """
-    d = dom[0][0].bit_count() + dom[0][1].bit_count() if dom else 0
-    return next(_degree_blocks(c, d, {0: dom}, {0: cod}, True))[2]
+    size = np.diff(start)
+    at = [np.flatnonzero(np.repeat(np.isin(np.arange(size.size), b), size)) for b in (dom, cod)]
+    j, targets, vals = _diff_triplets(c, ids[at[0]])
+    cols, rows = at[0][j], at[1][_find(ids[at[1]], targets)]
+    cut = np.searchsorted(cols, start)
+    for k, t in zip(np.asarray(dom).tolist(), np.asarray(cod).tolist()):
+        a = np.zeros((size[t] if t >= 0 else 0, size[k]), dtype=np.int64)
+        s = slice(cut[k], cut[k + 1])
+        a[rows[s] - start[t], cols[s] - start[k]] = vals[s]
+        yield FpMatrix(a, c.p)
 
 
 def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
@@ -312,33 +340,10 @@ def differential_matrix(c: KoszulComplex, d: int) -> FpMatrix:
     in the canonical order.  For d = top degree the codomain is empty.  This
     is the one-block case of the graded blocks ``betti`` works on.
     """
-    dom = _basis_bits(c.w, c.r, d) if 0 <= d <= c.top_degree else ()
-    cod = _basis_bits(c.w, c.r, d + 1) if d + 1 <= c.top_degree else ()
-    return _block_matrix(c, dom, cod)
-
-
-def _degree_blocks(c: KoszulComplex, d: int, dom: dict, cod: dict, every: bool):
-    """Yield (grade, keys, block of d) for each grade of the degree-d ``dom`` that
-    has keys in ``cod``, or for every grade when ``every``, in ``dom``'s order.
-
-    Every block passes ``fplin.check_block`` before the first is built; then d
-    of the whole degree comes from one ``_diff_triplets`` call, scattered per
-    grade, and each block is allocated only when it is yielded.
-    """
-    grades = [g for g in dom if every or g in cod]
-    for g in grades:
-        fplin.check_block(len(cod.get(g, ())), len(dom[g]), f"degree {d}")
-    col_start = np.cumsum([0] + [len(dom[g]) for g in grades])
-    row_start = np.cumsum([0] + [len(cod.get(g, ())) for g in grades])
-    j, e, x, vals = _diff_triplets(c, *_key_arrays([key for g in grades for key in dom[g]]))
-    ce, cx = _key_arrays([key for g in grades for key in cod.get(g, ())])
-    rows = _find(cx << c.w | ce, x << c.w | e)
-    cut = np.searchsorted(j, col_start)
-    for i, g in enumerate(grades):
-        a = np.zeros((row_start[i + 1] - row_start[i], col_start[i + 1] - col_start[i]), dtype=np.int64)
-        s = slice(cut[i], cut[i + 1])
-        a[rows[s] - row_start[i], j[s] - col_start[i]] = vals[s]
-        yield g, dom[g], FpMatrix(a, c.p)
+    ids = np.arange(1 << c.top_degree, dtype=np.int64)
+    dom, cod = (ids[np.bitwise_count(ids) == k] for k in (d, d + 1))
+    _guard([cod.size], [dom.size], [d])
+    return next(_blocks(c, np.concatenate((dom, cod)), np.array([0, dom.size, dom.size + cod.size]), [0], [1]))
 
 
 def _monomial_pairs(c: KoszulComplex):
@@ -373,28 +378,42 @@ def _subset_sums(codes) -> np.ndarray:
     return sums
 
 
-def _grading(c: KoszulComplex):
-    """A grade of the basis keys (e_bits, x_bits) that d preserves, as an integer.
+def _grades(c: KoszulComplex, ids: np.ndarray) -> np.ndarray:
+    """The grade that d preserves of each key x << w | e: the sum of its generators' codes.
 
-    When every quadratic is a single monomial c e_a e_b this is the code of
-    the Z^w multidegree, e_i -> eps_i and x_t -> eps_a + eps_b (``_bit_codes``);
-    otherwise the internal weight |S| + 2|T| of e_S x_T.
+    Those are the multidegree codes of ``_bit_codes`` when every quadratic is a
+    single monomial c e_a e_b, and otherwise 1 for each e and 2 for each x, so
+    that the grade of e_S x_T is its internal weight |S| + 2|T|.
     """
     pairs = _monomial_pairs(c)
-    if pairs is None:
-        return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
-    codes = _bit_codes(c, pairs)
-    w = c.w
+    codes = [1] * c.w + [2] * c.r if pairs is None else _bit_codes(c, pairs)
+    return _subset_sums(codes[:c.w])[ids & (1 << c.w) - 1] + _subset_sums(codes[c.w:])[ids >> c.w]
 
-    def grade(key):
-        m, g = key[1] << w | key[0], 0
-        while m:
-            low = m & -m
-            g += codes[low.bit_length() - 1]
-            m ^= low
-        return g
 
-    return grade
+def _layout(c: KoszulComplex):
+    """Every key of the complex as an id x << w | e, laid out in blocks.
+
+    Returns the ids; the start of each block in them, and their end; each
+    block's degree and grade; and the block of the next degree with the same
+    grade, or -1 where that grade has no keys.  Blocks run by degree, and
+    within a degree by grade in the order of the grade's first key.  Each
+    block's ids ascend, which is the canonical order of ``_basis_bits``.
+    """
+    ids = np.arange(1 << c.top_degree, dtype=np.int64)
+    key = _grades(c, ids)
+    span = int(key.max()) + 1  # key = degree * span + grade < 23 * 2^48 (``HARD_SIZE_LIMIT``)
+    key += np.bitwise_count(ids).astype(np.int64) * span
+    ids = np.argsort(key, kind="stable")  # by degree, then grade, then id
+    key = key[ids]
+    at = np.flatnonzero(np.diff(key, prepend=-1))  # where each (degree, grade) run starts
+    key, size = key[at], np.diff(np.append(at, ids.size))
+    order = np.lexsort((ids[at], key // span))  # within a degree, by each grade's first id
+    start = np.concatenate(([0], np.cumsum(size[order])))
+    ids = ids[np.repeat(at[order] - start[:-1], size[order]) + np.arange(ids.size)]
+    rank = np.argsort(order)  # the place of each run in the layout
+    nxt = np.minimum(np.searchsorted(key, key + span), key.size - 1)
+    cod = np.where(key[nxt] == key + span, rank[nxt], -1)
+    return ids, start, (key // span)[order], (key % span)[order], cod[order]
 
 
 def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
@@ -408,8 +427,8 @@ def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
     by multidegree code (``_bit_codes``): the keys of mu are the e_S x_T with
     code(T) = code(mu) - code(S), found for all 2^w e-masks S and all mu at
     once by binary search in the sorted codes of the 2^r x-masks.  A
-    difference that borrows has a digit r + 1, which no x-mask code has.  d of
-    every built block comes from one ``_diff_triplets`` call.
+    difference that borrows has a digit r + 1, which no x-mask code has.  The
+    built blocks are scattered by ``_blocks``.
 
     Poincare duality (Lambrechts and Stanley, Ann. Sci. ENS 41, 2008) halves
     that: the top coefficient of a b pairs each key with +-its complement, mu
@@ -445,40 +464,23 @@ def _orbit_ranks(c: KoszulComplex, pairs) -> list[int]:
     k, eb = np.repeat(k, n), np.repeat(eb, n)
     block = k * (top + 2) + (mus[built].sum(axis=1)[k] + np.bitwise_count(eb)) // 2
     order = np.argsort(block)
-    eb, xb = eb[order], xb[order]
     blocks, start, size = np.unique(block[order], return_index=True, return_counts=True)
     k, deg = np.divmod(blocks, top + 2)
 
     # the block (mu, d) -> (mu, d + 1), next in order, wherever that has keys
     ranked = np.append(blocks[1:] == blocks[:-1] + 1, False)
     self_dual = star[built[k]] == built[k]
-    ranked &= ~self_dual | (2 * deg <= top - 1)
-    for i in np.flatnonzero(ranked):
-        fplin.check_block(int(size[i + 1]), int(size[i]), f"degree {deg[i]}")
-    dom = np.flatnonzero(np.repeat(ranked, size))
-    j, te, tx, vals = _diff_triplets(c, eb[dom], xb[dom])
-    cols, rows = dom[j], _find(xb << w | eb, tx << w | te)
-    cut = np.searchsorted(cols, np.append(start, eb.size))
-
+    ranked = np.flatnonzero(ranked & (~self_dual | (2 * deg <= top - 1)))
+    _guard(size[ranked + 1], size[ranked], deg[ranked])
+    ids = (xb << w | eb)[order]
     ranks = [0] * (top + 1)
-    for i in np.flatnonzero(ranked).tolist():
-        a = np.zeros((size[i + 1], size[i]), dtype=np.int64)
-        s = slice(cut[i], cut[i + 1])
-        a[rows[s] - start[i + 1], cols[s] - start[i]] = vals[s]
-        rank = int(orbit[k[i]]) * fplin.rank(FpMatrix(a, c.p))
+    for i, m in zip(ranked.tolist(), _blocks(c, ids, np.append(start, ids.size), ranked, ranked + 1)):
+        rank = int(orbit[k[i]]) * fplin.rank(m)
         d = int(deg[i])
         ranks[d] += rank
         if not self_dual[i] or 2 * d < top - 1:
             ranks[top - 1 - d] += rank
     return ranks
-
-
-def _graded_basis(c: KoszulComplex, d: int, grade) -> dict:
-    """The degree-d basis keys bucketed by grade, each bucket in canonical order."""
-    buckets: dict = {}
-    for key in _basis_bits(c.w, c.r, d):
-        buckets.setdefault(grade(key), []).append(key)
-    return buckets
 
 
 @dataclass(frozen=True)
@@ -505,9 +507,10 @@ class BettiTable:
     ``dims[d]`` is the dimension in degree d for d = 0..w+r.  When computed
     with representatives, ``representatives[d]`` lists canonical cocycles
     whose classes form a basis, and ``_matrices[d]`` maps each grade of
-    degree d to its keys, the RREF of its boundaries (rank-many rows, in
-    ``fplin._width(p)``) and that RREF's pivots.  Compared by identity; cup
-    products require both classes to come from the same table.
+    degree d to its block's ascending ids x << w | e, the RREF of its
+    boundaries (rank-many rows, in ``fplin._width(p)``) and that RREF's
+    pivots.  Compared by identity; cup products require both classes to come
+    from the same table.
     """
 
     def __init__(self, complex: KoszulComplex, dims, representatives, matrices):
@@ -515,7 +518,6 @@ class BettiTable:
         self.dims = tuple(int(b) for b in dims)
         self.representatives = representatives
         self._matrices = matrices
-        self._grade = None if matrices is None else _grading(complex)
 
     def classes(self, degree: int) -> list[CohomologyClass]:
         if self.representatives is None:
@@ -552,31 +554,22 @@ class BettiTable:
         if not differential(c, elem).is_zero():
             raise NotACocycle(f"d({elem}) != 0")
 
-        by_grade: dict = {}
-        for key, coeff in elem._terms.items():
-            by_grade.setdefault(self._grade(key), {})[key] = coeff
+        ids, coeff = _term_ids(c, elem)
+        grades = _grades(c, ids)
         out: dict = {}
-        for g, terms in by_grade.items():
-            keys, bnd_rref, bnd_pivots = self._matrices[d][g]
-            index = {k: i for i, k in enumerate(keys)}
-            v = np.zeros((1, len(keys)), dtype=bnd_rref.dtype)
-            for key, coeff in terms.items():
-                v[0, index[key]] = coeff
-            out.update(_residue_terms(keys, fplin._reduce_rows(v, bnd_rref, bnd_pivots, c.p)[0]))
+        for g in dict.fromkeys(grades.tolist()):
+            block, bnd_rref, bnd_pivots = self._matrices[d][g]
+            v = np.zeros((1, block.size), dtype=bnd_rref.dtype)
+            v[0, np.searchsorted(block, ids[grades == g])] = coeff[grades == g]
+            out.update(_residue_terms(c, block, fplin._reduce_rows(v, bnd_rref, bnd_pivots, c.p))[0])
         return CohomologyClass(d, ExtElement._from_residues(c.ambient, out), self)
-
-
-def _residue_terms(keys, v: np.ndarray) -> dict:
-    """The term map of a residue vector over ``keys``, in key order, read in one step."""
-    nz = np.flatnonzero(v)
-    return dict(zip(map(keys.__getitem__, nz.tolist()), v[nz].tolist()))
 
 
 def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int | None = None) -> BettiTable:
     """Homology of the complex: dims b_0..b_(w+r) and canonical representatives.
 
     b_d = dim ker(d_d) - rank(d_(d-1)).  Each degree's basis is split into
-    the grades of ``_grading``, and d maps each grade into the same grade of
+    the grades of ``_grades``, and d maps each grade into the same grade of
     the next degree, so every step works on one block at a time.  Without
     representatives, ranks are summed over the blocks and nothing is kept;
     when the quadratics are single monomials over every pair {a, b} once,
@@ -587,10 +580,11 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
     incoming boundaries (the pivot columns of the previous degree's block), as
     ``fplin.quotient_representatives`` does, and the representatives are
     merged in the canonical order of their source cycle's free column, the
-    order one full-degree matrix would give.  Each degree's blocks come from
-    one ``_diff_triplets`` call (``_degree_blocks``).  A block over
-    ``fplin.BLOCK_CAP`` raises ``fplin.BudgetExceeded`` before any block of
-    its degree is built, naming its degree and shape (``fplin.check_block``).
+    order one full-degree matrix would give.  Every block is laid out at once
+    (``_layout``), and each degree's blocks come from one ``_diff_triplets``
+    call (``_blocks``).  A block over ``fplin.BLOCK_CAP`` raises
+    ``fplin.BudgetExceeded`` before the first block of the complex is
+    eliminated, naming its degree and shape (``fplin.check_block``).
     ``workers`` is accepted for compatibility and ignored: degrees always run
     serially.
     """
@@ -600,27 +594,32 @@ def betti(c: KoszulComplex, *, with_representatives: bool = True, workers: int |
         ranks = _orbit_ranks(c, pairs)
         dims = [comb(top, d) - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1)]
         return BettiTable(c, dims, None, None)
-    grade = _grading(c)
+    ids, start, deg, grade, cod = _layout(c)
+    size = np.diff(start)
+    walk = np.arange(size.size) if with_representatives else np.flatnonzero(cod >= 0)
+    _guard(np.where(cod >= 0, size[cod], 0)[walk], size[walk], deg[walk])
     dims, reps_by_degree, blocks_by_degree = [], [], []
     prev_rank, incoming = 0, {}
-    cod = _graded_basis(c, 0, grade)
     for d in range(top + 1):
-        dom, cod = cod, _graded_basis(c, d + 1, grade)
+        dom = walk[deg[walk] == d]
         rank, outgoing, found, blocks = 0, {}, [], {}
-        for g, keys, m in _degree_blocks(c, d, dom, cod, with_representatives):
+        for k, m in zip(dom.tolist(), _blocks(c, ids, start, dom, cod[dom])):
             if not with_representatives:
                 rank += fplin.rank(m)
                 continue
+            keys = ids[start[k]:start[k + 1]]
             ker, free, piv = fplin._kernel(m)
             rank += len(piv)
-            outgoing[g] = m.entries[:, piv].T  # independent columns spanning the image
-            bnd = incoming.get(g, np.zeros((0, len(keys)), dtype=np.int64))
+            outgoing[int(cod[k])] = m.entries[:, piv].T  # independent columns spanning the image
+            bnd = incoming.get(k, np.zeros((0, keys.size), dtype=np.int64))
             pairs, bnd_rref, bnd_pivots = fplin._quotient_pairs(ker, ker, free, bnd, c.p)
-            found += [(keys[free[i]][::-1], keys, v) for i, v in pairs]  # sorted by (x, e) of the free column
-            blocks[g] = (keys, bnd_rref, bnd_pivots)
+            if pairs:  # sorted below by the id of the source cycle's free column
+                terms = _residue_terms(c, keys, np.array([v for _, v in pairs]))
+                found += zip(keys[[free[i] for i, _ in pairs]].tolist(), terms)
+            blocks[int(grade[k])] = (keys, bnd_rref, bnd_pivots)
         found.sort(key=lambda item: item[0])
-        reps = [ExtElement._from_residues(c.ambient, _residue_terms(keys, v)) for _, keys, v in found]
-        dims.append(sum(map(len, dom.values())) - rank - prev_rank)
+        reps = [ExtElement._from_residues(c.ambient, terms) for _, terms in found]
+        dims.append(comb(top, d) - rank - prev_rank)
         prev_rank, incoming = rank, outgoing
         reps_by_degree.append(tuple(reps))
         blocks_by_degree.append(blocks)

@@ -10,7 +10,6 @@ from frattini import Ambient, DependentQuadratics, ExtElement, KoszulComplex, di
 from frattini.bocksteindga import BigradedElement, Generators, _monomials_up_to, _mul_term_dicts, bockstein
 from frattini.extalg import _basis_bits
 from frattini.fplin import BoundaryNotCycle, FpMatrix, kernel_basis, quotient_representatives, solve
-from frattini.koszul import _graded_basis, _grading
 from frattini.pgroups import ConstraintViolation, VerificationReport
 
 
@@ -186,7 +185,8 @@ def reference_diff_term(c, e_bits, x_bits):
 
 
 def reference_block_matrix(c, dom, cod):
-    """``koszul._block_matrix`` filled one key at a time from ``reference_diff_term``."""
+    """The matrix of d from the keys ``dom`` to the keys ``cod``, filled one key at a
+    time from ``reference_diff_term``."""
     index = {key: i for i, key in enumerate(cod)}
     a = np.zeros((len(cod), len(dom)), dtype=np.int64)
     for j, (eb, xb) in enumerate(dom):
@@ -204,21 +204,49 @@ def reference_differential(c, elem):
     return ExtElement(c.ambient, out)
 
 
+def reference_grade(c):
+    """The grade of a basis key (e_bits, x_bits) that d preserves, one key at a
+    time: the code of the Z^w multidegree, e_i -> (r + 2)^i and x_t -> the sum
+    over the pair {a, b} of q_t, when every quadratic is a single monomial
+    c e_a e_b; otherwise the internal weight |S| + 2|T| of e_S x_T."""
+    if any(len(q._terms) != 1 for q in c.quadratics):
+        return lambda key: key[0].bit_count() + 2 * key[1].bit_count()
+    base = c.r + 2
+    x_codes = [sum(base ** i for i in range(c.w) if eb >> i & 1) for q in c.quadratics for eb, _ in q._terms]
+
+    def grade(key):
+        e_bits, x_bits = key
+        return sum(base ** i for i in range(c.w) if e_bits >> i & 1) + sum(
+            code for t, code in enumerate(x_codes) if x_bits >> t & 1
+        )
+
+    return grade
+
+
+def reference_graded_basis(c, d, grade):
+    """The degree-d basis keys bucketed by ``grade``, buckets in order of their
+    first key and each in canonical order."""
+    buckets = {}
+    for key in _basis_bits(c.w, c.r, d):
+        buckets.setdefault(grade(key), []).append(key)
+    return buckets
+
+
 def multidegree(c, code):
-    """The Z^w multidegree tuple of a ``koszul._grading`` code: its w digits in base r + 2."""
+    """The Z^w multidegree tuple of a ``reference_grade`` code: its w digits in base r + 2."""
     base = c.r + 2
     return tuple(code // base ** i % base for i in range(c.w))
 
 
 def reference_block_dims(c):
-    """Betti numbers from the rank of every (degree, grade) block of ``_grading``,
-    each built by ``reference_block_matrix``: the all-blocks walk, with no orbit
-    reduction and no shared differential kernel."""
-    grade = _grading(c)
+    """Betti numbers from the rank of every (degree, grade) block of
+    ``reference_grade``, each built by ``reference_block_matrix``: the
+    all-blocks walk, with no orbit reduction and no shared differential kernel."""
+    grade = reference_grade(c)
     top = c.top_degree
     ranks = []
     for d in range(top + 1):
-        dom, cod = _graded_basis(c, d, grade), _graded_basis(c, d + 1, grade)
+        dom, cod = reference_graded_basis(c, d, grade), reference_graded_basis(c, d + 1, grade)
         ranks.append(sum(fplin.rank(reference_block_matrix(c, keys, cod[g])) for g, keys in dom.items() if g in cod))
     sizes = [len(_basis_bits(c.w, c.r, d)) for d in range(top + 1)]
     return tuple(sizes[d] - ranks[d] - (ranks[d - 1] if d else 0) for d in range(top + 1))
